@@ -5,10 +5,9 @@ orthogonal decomposition under unipotent isometries, and level bounds.
 """
 
 from .canonical import (ElementaryDivisor, IndecomposableSummand,
-                        JordanChevalley, PrimaryDecomposition,
-                        elementary_divisors, indecomposable_decomposition,
-                        invariant_factors, jordan_chevalley, min_poly,
-                        primary_decomposition, smith_normal_form)
+                        JordanChevalley, ModuleStructure, elementary_divisors,
+                        indecomposable_decomposition, invariant_factors,
+                        jordan_chevalley, min_poly, smith_normal_form)
 from .certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
                            FormCertificate, make_certificate, symmetry_of,
                            verify_gram)
@@ -23,10 +22,9 @@ from .decision import (DecisionReport, ObstructionRecord, RealityReport,
 from .fields import PrimeField, QQ, RationalField, sqrt_mod
 from .isometry import (LevelReport, OrthogonalSummandReport, level_analysis,
                        orthogonal_decomposition, witt_index)
-from .linalg import (LinearSolveResult, Matrix, char_poly, char_poly_faddeev,
-                     solve_linear)
+from .linalg import Matrix, char_poly, char_poly_faddeev
 from .oracle import (InvariantFormSpace, brute_force_reality,
-                     find_nondegenerate, oracle_witness, solve_form_space)
+                     find_nondegenerate, solve_form_space)
 from .poly import (Factorization, Poly, additive_dual_poly, dual_poly, factor,
                    is_additively_self_dual, is_self_dual, poly_gcd,
                    substitute_x_plus_inverse, substitute_x_squared)

@@ -1,13 +1,18 @@
 """Module structure of a linear map: invariant factors, elementary
-divisors, primary decomposition, indecomposable summands with explicit
-bases, and the semisimple/unipotent (or nilpotent) splitting.
+divisors, indecomposable summands with explicit bases, the duality
+rules that read form existence off the divisors, and the
+semisimple/unipotent (or nilpotent) splitting.
 
 Everything is driven by one kernel: the Smith normal form of xI - T over
-F[x], computed with partial pivoting on lowest-degree entries.  Tracking
-the inverse row transform yields, for each nonconstant invariant factor,
-an explicit generator of the corresponding cyclic summand; splitting the
-generators along the factorization of their annihilators produces the
-indecomposable decomposition with a basis per summand.
+F[x], computed with partial pivoting on lowest-degree entries.  A
+`ModuleStructure` runs it once per matrix, tracking the inverse row
+transform, and factors each invariant factor once.  The elementary
+divisors, invertibility and the indecomposable summands are all read
+from that one analysis: the tracked transform yields, for each
+nonconstant invariant factor, an explicit generator of the corresponding
+cyclic summand, and splitting the generators along the factorization of
+their annihilators produces the indecomposable decomposition with a
+basis per summand.
 
 Basis convention inside a summand with divisor p^k and generator v:
 
@@ -21,18 +26,22 @@ constructions assume.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
+from .certificates import INFINITESIMAL, INVARIANT, SYMMETRIC
 from .errors import NotSquare, Singular, SmallCharacteristic
-from .linalg import (Matrix, char_poly, eval_poly_at_matrix, matrix_powers,
-                     restriction)
-from .poly import (DEFAULT_DEGREE_LIMIT, Poly, factor, invert_mod, poly_gcd)
+from .linalg import Matrix, eval_poly_at_matrix, matrix_powers, restriction
+from .poly import (DEFAULT_DEGREE_LIMIT, Poly, additive_dual_poly, dual_poly,
+                   factor, invert_mod, poly_gcd)
 
 
 # --- Smith normal form over F[x] -------------------------------------------
 
 def _poly_identity(field, n):
-    z, o = Poly.zero(field), Poly.one(field)
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
+    # builds no entry for n = 0, where the field is unknown (None)
+    return [[Poly.one(field) if i == j else Poly.zero(field)
+             for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(A, track: bool = False):
@@ -158,7 +167,7 @@ def min_poly(T: Matrix) -> Poly:
     return invariant_factors(T)[-1]
 
 
-# --- elementary divisors -----------------------------------------------------
+# --- elementary divisors and summands ----------------------------------------
 
 @dataclass(frozen=True)
 class ElementaryDivisor:
@@ -180,88 +189,10 @@ class ElementaryDivisor:
         return f"({base})^{self.k}" if self.k > 1 else f"({base})"
 
 
-def elementary_divisors(T: Matrix, seed: int = 0,
-                        degree_limit: int = DEFAULT_DEGREE_LIMIT):
-    """Complete multiset of elementary divisors, deterministically ordered."""
-    counts: dict = {}
-    for d in invariant_factors(T):
-        if d.degree < 1:
-            continue
-        for p, k in factor(d, seed=seed, degree_limit=degree_limit):
-            counts[(p, k)] = counts.get((p, k), 0) + 1
-    divisors = [ElementaryDivisor(p, k, m) for (p, k), m in counts.items()]
-    divisors.sort(key=ElementaryDivisor.sort_key)
-    total = sum(d.dim for d in divisors)
-    assert total == T.nrows
-    return divisors
-
-
 def divisor_multiset(divisors):
     """Hashable multiset view {(p coeffs, k): multiplicity}."""
     return {(d.p.coeffs, d.k): d.multiplicity for d in divisors}
 
-
-# --- primary decomposition ---------------------------------------------------
-
-@dataclass
-class PrimaryDecomposition:
-    """Splitting V = V_1 + V_-1 + V_o along eigenvalues 1, -1 and the rest."""
-
-    e: int                 # exponent of (x - 1) in the characteristic poly
-    f: int                 # exponent of (x + 1)
-    chi_o: Poly            # reduced characteristic polynomial
-    basis_plus: Matrix     # columns spanning the generalized 1-eigenspace
-    basis_minus: Matrix
-    basis_o: Matrix
-    T_o: Matrix            # restriction of T to V_o in basis_o
-
-
-def _strip_linear_factor(chi: Poly, a):
-    lin = Poly.x_minus(chi.field, a)
-    e = 0
-    while chi.degree > 0:
-        q, r = divmod(chi, lin)
-        if not r.is_zero():
-            break
-        chi, e = q, e + 1
-    return chi, e
-
-
-def primary_decomposition(T: Matrix) -> PrimaryDecomposition:
-    if not T.is_square:
-        raise NotSquare("primary decomposition of a non-square matrix")
-    F = T.field
-    n = T.nrows
-    chi = char_poly(T)
-    if F.is_zero(chi.constant_term()):
-        raise Singular("primary decomposition requires an invertible map")
-    chi_o, e = _strip_linear_factor(chi, F.one)
-    chi_o, f = _strip_linear_factor(chi_o, F.neg(F.one))
-
-    def kernel_cols(M):
-        ker = M.kernel_basis()
-        if not ker:
-            return Matrix(F, [[] for _ in range(n)], coerce=False)
-        return Matrix.from_cols(F, ker)
-
-    ident = Matrix.identity(F, n)
-    basis_plus = kernel_cols((T - ident) ** e) if e else \
-        Matrix(F, [[] for _ in range(n)], coerce=False)
-    basis_minus = kernel_cols((T + ident) ** f) if f else \
-        Matrix(F, [[] for _ in range(n)], coerce=False)
-    basis_o = kernel_cols(eval_poly_at_matrix(chi_o, T)) if chi_o.degree else \
-        Matrix(F, [[] for _ in range(n)], coerce=False)
-    assert basis_plus.ncols == e and basis_minus.ncols == f
-    assert basis_o.ncols == chi_o.degree
-    stacked = basis_plus.hstack(basis_minus).hstack(basis_o)
-    assert stacked.rank() == n, "primary blocks do not span"
-    T_o = restriction(T, basis_o) if basis_o.ncols else \
-        Matrix(F, [], coerce=False)
-    return PrimaryDecomposition(e, f, chi_o, basis_plus, basis_minus,
-                                basis_o, T_o)
-
-
-# --- indecomposable decomposition --------------------------------------------
 
 @dataclass
 class IndecomposableSummand:
@@ -284,14 +215,15 @@ class IndecomposableSummand:
 def _summand_basis(T: Matrix, p: Poly, k: int, v, powers):
     F = T.field
     r = p.degree * k
-    if p.degree == 1 and p.coeff(0) in (F.neg(F.one), F.one):
-        lam = F.neg(p.coeff(0))      # p = x - lam with lam = +-1
+    special = DUALITY[INVARIANT].special_factor(p)
+    if special is not None:
+        lam = special[0]             # p = x - lam with lam = +-1
         ident = Matrix.identity(F, T.nrows)
-        N = T - ident if lam == F.one else T + ident
+        N = T - ident if lam == 1 else T + ident
         cols = [v]
         for i in range(1, r):
             cols.append(N.apply(cols[-1]))
-        if lam != F.one:
+        if lam != 1:
             cols = [tuple(F.neg(c) for c in col) if i % 2 else col
                     for i, col in enumerate(cols)]
         return Matrix.from_cols(F, cols)
@@ -301,57 +233,175 @@ def _summand_basis(T: Matrix, p: Poly, k: int, v, powers):
     return Matrix.from_cols(F, cols)
 
 
+class ModuleStructure:
+    """The F[x]-module structure of V under T, computed once per matrix.
+
+    Holds one tracked Smith form of xI - T.  Its diagonal gives the
+    invariant factors, and T is invertible iff no invariant factor has a
+    zero constant term; both are known on construction, before anything
+    is factored, so callers can reject a singular map first.  On first
+    use each nonconstant invariant factor is factored once (with `seed`
+    and `degree_limit`, as in `factor`), and the elementary divisors and
+    the indecomposable summands are both read from those factorizations
+    and the same Smith transform.
+    """
+
+    def __init__(self, T: Matrix, seed: int = 0,
+                 degree_limit: int = DEFAULT_DEGREE_LIMIT):
+        if not T.is_square:
+            raise NotSquare("module structure of a non-square matrix")
+        self.T = T
+        self.seed = seed
+        self.degree_limit = degree_limit
+        diag, self._pinv = smith_normal_form(_char_matrix(T), track=True)
+        assert all(not d.is_zero() for d in diag)
+        self.invariant_factors = diag
+        self.invertible = not any(T.field.is_zero(d.constant_term())
+                                  for d in diag)
+
+    @cached_property
+    def factorizations(self):
+        """[(index, d, factor(d))] for each nonconstant invariant factor d."""
+        return [(idx, d, factor(d, seed=self.seed,
+                                degree_limit=self.degree_limit))
+                for idx, d in enumerate(self.invariant_factors)
+                if d.degree >= 1]
+
+    @cached_property
+    def elementary_divisors(self):
+        """Complete multiset of elementary divisors, deterministically
+        ordered."""
+        counts: dict = {}
+        for _, _, fac in self.factorizations:
+            for p, k in fac:
+                counts[(p, k)] = counts.get((p, k), 0) + 1
+        divisors = [ElementaryDivisor(p, k, m) for (p, k), m in counts.items()]
+        divisors.sort(key=ElementaryDivisor.sort_key)
+        assert sum(d.dim for d in divisors) == self.T.nrows
+        return divisors
+
+    @cached_property
+    def summands(self):
+        """T-cyclic summands, one per elementary divisor copy.
+
+        Generators come from the tracked Smith transform projected to
+        each invariant-factor summand, then separated along the coprime
+        factorization of the annihilator.  The direct-sum property is
+        verified exactly before returning.
+        """
+        T = self.T
+        F = T.field
+        n = T.nrows
+        pinv = self._pinv
+        max_deg = max([n] + [e.degree for row in pinv for e in row])
+        powers = matrix_powers(T, max(1, max_deg))
+        summands = []
+        for idx, d, fac in self.factorizations:
+            gen = tuple(F.zero for _ in range(n))
+            for j in range(n):
+                entry = pinv[j][idx]
+                if entry.is_zero():
+                    continue
+                col = tuple(eval_poly_at_matrix(entry, T, powers).col(j))
+                gen = tuple(F.add(a, b) for a, b in zip(gen, col))
+            assert all(F.is_zero(c)
+                       for c in eval_poly_at_matrix(d, T, powers).apply(gen)), \
+                "generator not annihilated by its invariant factor"
+            for p, k in fac:
+                cof = d // p ** k
+                w = eval_poly_at_matrix(cof, T, powers).apply(gen)
+                basis = _summand_basis(T, p, k, w, powers)
+                summands.append(IndecomposableSummand(p, k, 0, basis, w))
+        summands.sort(key=lambda s: (s.p.degree, s.p.coeffs, s.k))
+        counters: dict = {}
+        for s in summands:
+            key = s.divisor_key()
+            s.copy_index = counters.get(key, 0)
+            counters[key] = s.copy_index + 1
+        if summands:
+            whole = summands[0].basis
+            for s in summands[1:]:
+                whole = whole.hstack(s.basis)
+            assert whole.ncols == n and whole.rank() == n, \
+                "summand bases do not assemble to a basis"
+            for s in summands:
+                restriction(T, s.basis)   # raises Singular unless invariant
+        return summands
+
+
+def elementary_divisors(T: Matrix, seed: int = 0,
+                        degree_limit: int = DEFAULT_DEGREE_LIMIT):
+    """Complete multiset of elementary divisors, deterministically ordered."""
+    return ModuleStructure(T, seed, degree_limit).elementary_divisors
+
+
 def indecomposable_decomposition(T: Matrix, seed: int = 0,
                                  degree_limit: int = DEFAULT_DEGREE_LIMIT):
-    """Split V into T-cyclic summands, one per elementary divisor copy.
+    """Split V into T-cyclic summands, one per elementary divisor copy
+    (see `ModuleStructure.summands`)."""
+    return ModuleStructure(T, seed, degree_limit).summands
 
-    Generators come from the tracked Smith form of xI - T projected to
-    each invariant-factor summand, then separated along the coprime
-    factorization of the annihilator.  The direct-sum property is
-    verified exactly before returning.
+
+# --- duality rules -------------------------------------------------------------
+
+UNPAIRED_DUAL = "UnpairedDual"
+BAD_UNIPOTENT_PARITY = "BadUnipotentParity"
+ODD_DIMENSION_SKEW = "OddDimensionSkew"
+UNPAIRED_ADDITIVE_DUAL = "UnpairedAdditiveDual"
+BAD_NILPOTENT_PARITY = "BadNilpotentParity"
+
+
+def natural_parity_ok(k: int, symmetry: str) -> bool:
+    """An indecomposable (x -+ 1)^k or x^k block carries a non-degenerate
+    form of this symmetry iff k is odd (symmetric) or even (skew)."""
+    return (k % 2 == 1) == (symmetry == SYMMETRIC)
+
+
+PARITY_DETAIL = ("{label}^{k} needs exponent {need} or even multiplicity, "
+                 "found multiplicity {multiplicity}")
+
+
+@dataclass(frozen=True)
+class DualityRule:
+    """How one setting reads form existence off the elementary divisors.
+
+    A divisor p^k whose p is one of the special linear factors x - r
+    needs the exponent parity natural for the symmetry (k odd for
+    symmetric, k even for skew) or an even multiplicity; any other
+    divisor is self-dual under `dual` or meets its dual divisor at equal
+    multiplicity.  The obstruction kinds and details name what fails.
     """
-    if not T.is_square:
-        raise NotSquare("decomposition of a non-square matrix")
-    F = T.field
-    n = T.nrows
-    diag, pinv = smith_normal_form(_char_matrix(T), track=True)
-    max_deg = max([n] + [e.degree for row in pinv for e in row])
-    powers = matrix_powers(T, max(1, max_deg))
-    summands = []
-    for idx in range(n):
-        d = diag[idx]
-        if d.degree < 1:
-            continue
-        gen = tuple(F.zero for _ in range(n))
-        for j in range(n):
-            entry = pinv[j][idx]
-            if entry.is_zero():
-                continue
-            col = tuple(eval_poly_at_matrix(entry, T, powers).col(j))
-            gen = tuple(F.add(a, b) for a, b in zip(gen, col))
-        assert all(F.is_zero(c)
-                   for c in eval_poly_at_matrix(d, T, powers).apply(gen)), \
-            "generator not annihilated by its invariant factor"
-        for p, k in factor(d, seed=seed, degree_limit=degree_limit):
-            cof = d // p ** k
-            w = eval_poly_at_matrix(cof, T, powers).apply(gen)
-            basis = _summand_basis(T, p, k, w, powers)
-            summands.append(IndecomposableSummand(p, k, 0, basis, w))
-    summands.sort(key=lambda s: (s.p.degree, s.p.coeffs, s.k))
-    counters: dict = {}
-    for s in summands:
-        key = s.divisor_key()
-        s.copy_index = counters.get(key, 0)
-        counters[key] = s.copy_index + 1
-    if summands:
-        whole = summands[0].basis
-        for s in summands[1:]:
-            whole = whole.hstack(s.basis)
-        assert whole.ncols == n and whole.rank() == n, \
-            "summand bases do not assemble to a basis"
-        for s in summands:
-            restriction(T, s.basis)   # raises Singular unless invariant
-    return summands
+
+    setting: str
+    special: tuple          # ((r, label), ...) for the factors x - r
+    dual: Callable          # monic dual operator on polynomials
+    parity_kind: str
+    unpaired_kind: str
+    unpaired_detail: str    # format fields: dual_multiplicity, multiplicity
+
+    def special_factor(self, p: Poly):
+        """(r, label) when p = x - r is a special factor, else None."""
+        if p.degree == 1:
+            F = p.field
+            for r, label in self.special:
+                if p.coeff(0) == F.coerce(-r):
+                    return r, label
+        return None
+
+    def is_self_dual(self, p: Poly) -> bool:
+        return p == self.dual(p)
+
+
+DUALITY = {
+    INVARIANT: DualityRule(
+        INVARIANT, ((1, "(x - 1)"), (-1, "(x + 1)")), dual_poly,
+        BAD_UNIPOTENT_PARITY, UNPAIRED_DUAL,
+        "dual divisor multiplicity {dual_multiplicity} != {multiplicity}"),
+    INFINITESIMAL: DualityRule(
+        INFINITESIMAL, ((0, "x"),), additive_dual_poly,
+        BAD_NILPOTENT_PARITY, UNPAIRED_ADDITIVE_DUAL,
+        "additive dual multiplicity {dual_multiplicity} != {multiplicity}"),
+}
 
 
 # --- semisimple / unipotent splitting ----------------------------------------
@@ -396,8 +446,7 @@ def jordan_chevalley(T: Matrix, mode: str = "multiplicative") -> JordanChevalley
         part = T - Ts
         assert (part ** n).is_zero(), "additive part not nilpotent"
     else:
-        chi0 = char_poly(T).constant_term()
-        if F.is_zero(chi0):
+        if F.is_zero(m.constant_term()):
             raise Singular("multiplicative splitting needs an invertible map")
         part = Ts.inverse() * T
         ident = Matrix.identity(F, n)

@@ -6,6 +6,11 @@ Instance file schema:
      "matrix": [["1", "1/2"], ["0", "1"]],
      "gram":   optional, same shape}
 
+decide, construct, infinitesimal and real take --seed (the seed of the
+randomized F_p factorization) and --degree-limit (the degree cap of
+factorization over Q); verify, decompose and level factor nothing and
+take neither.
+
 Exit codes: 0 computed (even when the answer is "no form exists"),
 1 verification failure, 2 input error, 3 capability error (degree limit,
 rationals unsupported, small characteristic, group too large).
@@ -19,8 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .certificates import (INFINITESIMAL, INVARIANT, SETTINGS, SKEW,
                            SYMMETRIC, verify_gram)
-from .construction import (construct_infinitesimal_form,
-                           construct_invariant_form)
 from .corpus import DEFAULT_FIELDS, corpus
 from .decision import (decide_infinitesimal_form, decide_invariant_form,
                        decide_real)
@@ -37,7 +40,11 @@ def _parse_field(spec):
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
         p = spec["Fp"]
-        if not (isinstance(p, int) and is_prime(p)):
+        try:
+            prime = isinstance(p, int) and is_prime(p)
+        except ValueError as exc:
+            raise InputError(f"modulus {p!r} is too large: {exc}") from exc
+        if not prime:
             raise InputError(f"modulus {p!r} is not a prime integer")
         return PrimeField(p)
     raise InputError(f'field must be "Q" or {{"Fp": p}}, got {spec!r}')
@@ -64,6 +71,8 @@ def load_instance(path, need_gram=False):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"instance must be a JSON object, got {data!r}")
     if "field" not in data or "matrix" not in data:
         raise InputError('instance needs "field" and "matrix"')
     field = _parse_field(data["field"])
@@ -104,20 +113,19 @@ def _cmd_decide(args) -> int:
 
 def _cmd_construct(args) -> int:
     _, T, _ = load_instance(args.instance)
-    report = decide_invariant_form(T, args.symmetry, seed=args.seed,
+    report = decide_invariant_form(T, args.symmetry, construct=True,
+                                   seed=args.seed,
                                    degree_limit=args.degree_limit)
-    if report.exists:
-        report.witness = construct_invariant_form(T, args.symmetry)
     _emit(report.to_json())
     return 0
 
 
 def _cmd_infinitesimal(args) -> int:
     _, S, _ = load_instance(args.instance)
-    report = decide_infinitesimal_form(S, args.symmetry, seed=args.seed,
+    report = decide_infinitesimal_form(S, args.symmetry,
+                                       construct=args.construct,
+                                       seed=args.seed,
                                        degree_limit=args.degree_limit)
-    if args.construct and report.exists:
-        report.witness = construct_infinitesimal_form(S, args.symmetry)
     _emit(report.to_json())
     return 0
 
@@ -174,21 +182,15 @@ def _selftest_worker(payload):
     T = Matrix(field, [[int(e) for e in r] for r in rows], coerce=False)
     rec = {"index": index, "kind": kind, "field": f"F{prime}",
            "dim": T.nrows, "results": {}}
+    decide = decide_invariant_form if kind == "invariant" \
+        else decide_infinitesimal_form
+    setting = INVARIANT if kind == "invariant" else INFINITESIMAL
     for symmetry in (SYMMETRIC, SKEW):
-        if kind == "invariant":
-            exists = decide_invariant_form(T, symmetry).exists
-        else:
-            exists = decide_infinitesimal_form(T, symmetry).exists
-        setting = INVARIANT if kind == "invariant" else INFINITESIMAL
+        report = decide(T, symmetry, construct=True)
+        exists = report.exists
         witness = find_nondegenerate(
             solve_form_space(T, symmetry, setting), seed=seed, trials=trials)
-        certificate = None
-        if exists:
-            if kind == "invariant":
-                cert = construct_invariant_form(T, symmetry)
-            else:
-                cert = construct_infinitesimal_form(T, symmetry)
-            certificate = all(cert.checks.values())
+        certificate = all(report.witness.checks.values()) if exists else None
         rec["results"][symmetry] = {
             "exists": exists,
             "oracle": witness is not None,
@@ -239,10 +241,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "unipotent isometry analysis over Q and F_p.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, gram=False, symmetry=False, setting=False):
+    def common(p, factoring=False, symmetry=False, setting=False):
         p.add_argument("instance", help="path to a JSON instance file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--degree-limit", type=int, default=24)
+        if factoring:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--degree-limit", type=int, default=24)
         if symmetry:
             p.add_argument("--symmetry", choices=(SYMMETRIC, SKEW),
                            required=True)
@@ -250,17 +253,18 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--setting", choices=SETTINGS, required=True)
 
     common(sub.add_parser("decide", help="invariant-form existence"),
-           symmetry=True)
+           factoring=True, symmetry=True)
     common(sub.add_parser("construct",
                           help="existence plus a verified witness"),
-           symmetry=True)
+           factoring=True, symmetry=True)
     p = sub.add_parser("infinitesimal",
                        help="infinitesimally invariant form existence")
-    common(p, symmetry=True)
+    common(p, factoring=True, symmetry=True)
     p.add_argument("--construct", action="store_true")
     common(sub.add_parser("verify", help="re-check a provided witness"),
            symmetry=True, setting=True)
-    common(sub.add_parser("real", help="conjugacy to the inverse"))
+    common(sub.add_parser("real", help="conjugacy to the inverse"),
+           factoring=True)
     common(sub.add_parser("decompose",
                           help="orthogonal decomposition (needs gram)"))
     common(sub.add_parser("level", help="unipotent level bounds (needs gram)"))

@@ -1,6 +1,8 @@
 """Explicit Gram-matrix witnesses, block by block.
 
-The construction follows the indecomposable decomposition of the map.
+The construction follows the indecomposable decomposition of the map,
+read from the same `ModuleStructure` the decision used, and the
+duality rule of its setting (`canonical.DUALITY`).
 Each summand class has a dedicated block witness:
 
   * (x -+ 1)^k with the right parity: the anti-triangular unipotent
@@ -22,27 +24,24 @@ assembled global Gram is verified once more by the independent checker
 before a certificate is issued.
 """
 
-from .canonical import (IndecomposableSummand, indecomposable_decomposition,
-                        jordan_chevalley)
+from .canonical import (IndecomposableSummand, jordan_chevalley,
+                        natural_parity_ok)
 from .certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
                            FormCertificate, make_certificate, symmetry_of,
                            verify_gram)
+from .decision import decide_form
 from .errors import (DecisionFalse, EigenvalueObstruction, NotDualPair,
                      NotSelfDual, ParityViolation, Singular,
                      SmallCharacteristic, UnverifiedForm)
 from .fields import Field
 from .linalg import Matrix, kron, restriction
 from .oracle import InvariantFormSpace, find_nondegenerate, solve_form_space
-from .poly import (Poly, additive_dual_poly, dual_poly,
-                   is_additively_self_dual, is_self_dual, pow_mod,
-                   substitute_x_plus_inverse, substitute_x_squared)
+from .poly import (DEFAULT_DEGREE_LIMIT, Poly, is_additively_self_dual,
+                   is_self_dual, pow_mod, substitute_x_plus_inverse,
+                   substitute_x_squared)
 
 FALLBACK_SEED = 0
 FALLBACK_TRIALS = 128
-
-
-def _natural_parity_ok(k: int, symmetry: str) -> bool:
-    return (k % 2 == 1) == (symmetry == SYMMETRIC)
 
 
 # --- scalar block patterns ---------------------------------------------------
@@ -60,7 +59,7 @@ def unipotent_block_form(field: Field, k: int, symmetry: str,
     """
     if lam not in (1, -1):
         raise ValueError("lam must be +1 or -1")
-    if not _natural_parity_ok(k, symmetry):
+    if not natural_parity_ok(k, symmetry):
         raise ParityViolation(
             f"no non-degenerate {symmetry} form on an indecomposable "
             f"(x {'-' if lam == 1 else '+'} 1)^{k} block")
@@ -124,7 +123,7 @@ def unipotent_block_form(field: Field, k: int, symmetry: str,
 def nilpotent_block_form(field: Field, k: int, symmetry: str) -> Matrix:
     """Alternating anti-diagonal K with N^t K + K N = 0 for the lower
     shift N of size k.  Symmetric needs k odd, skew k even."""
-    if not _natural_parity_ok(k, symmetry):
+    if not natural_parity_ok(k, symmetry):
         raise ParityViolation(
             f"no non-degenerate {symmetry} form on an indecomposable "
             f"nilpotent block of size {k}")
@@ -178,14 +177,6 @@ class QuotientRingContext:
         assert self.sigma * self.sigma == ident, "involution check failed"
         fixed_dim = p.degree - (self.sigma - ident).rank()
         assert fixed_dim == m, "fixed subring has the wrong dimension"
-        # power basis of E and the images of y^j spanning E_1 inside E
-        self.e_basis = [tuple(ident.col(i)) for i in range(p.degree)]
-        if additive:
-            y = Poly(F, (F.zero, F.zero, F.one))
-        else:
-            y = Poly(F, (F.zero, F.one)) + sigma_x
-        self.e1_basis = [tuple(pow_mod(y, j, p).coeff(t)
-                               for t in range(p.degree)) for j in range(m)]
 
 
 def _mult_trace(ctx: QuotientRingContext, g: Poly):
@@ -422,28 +413,15 @@ def self_dual_block_form(p: Poly, d: int, symmetry: str,
 
 # --- assembly over the full decomposition -----------------------------------------
 
-def _linear_pm_one(p: Poly):
-    """+1 / -1 when p is x - 1 / x + 1, else None."""
-    F = p.field
-    if p.degree != 1:
-        return None
-    c = p.coeff(0)
-    if c == F.neg(F.one):
-        return 1
-    if c == F.one:
-        return -1
-    return None
-
-
-def _is_x(p: Poly) -> bool:
-    return p.degree == 1 and p.field.is_zero(p.coeff(0))
-
-
-def _assemble(M: Matrix, symmetry: str, setting: str, summands):
+def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
+    """Verified witness on V = sum of structure.summands, block by block
+    as the duality rule dictates (see the module docstring)."""
+    M = structure.T
     F = M.field
+    setting = rule.setting
     groups: dict = {}
     order = []
-    for s in summands:
+    for s in structure.summands:
         key = s.divisor_key()
         if key not in groups:
             groups[key] = []
@@ -459,13 +437,11 @@ def _assemble(M: Matrix, symmetry: str, setting: str, summands):
         copies = groups[key]
         p, k = copies[0].p, copies[0].k
         label = f"({p.to_str()})^{k}" if k > 1 else f"({p.to_str()})"
-        special = (_linear_pm_one(p) is not None) if setting == INVARIANT \
-            else _is_x(p)
-        if special:
-            if _natural_parity_ok(k, symmetry):
+        special = rule.special_factor(p)
+        if special is not None:
+            if natural_parity_ok(k, symmetry):
                 if setting == INVARIANT:
-                    K = unipotent_block_form(F, k, symmetry,
-                                             lam=_linear_pm_one(p))
+                    K = unipotent_block_form(F, k, symmetry, lam=special[0])
                     route = "unipotent-block"
                 else:
                     K = nilpotent_block_form(F, k, symmetry)
@@ -482,16 +458,13 @@ def _assemble(M: Matrix, symmetry: str, setting: str, summands):
                     provenance.append(
                         f"{label}#{a.copy_index}+#{b.copy_index}:standard-pair")
             continue
-        self_dual = is_self_dual(p) if setting == INVARIANT \
-            else is_additively_self_dual(p)
-        if self_dual:
+        if rule.is_self_dual(p):
             for s in copies:
                 cols, gram, route = _self_dual_block(M, s, symmetry, setting)
                 blocks.append((cols, gram))
                 provenance.append(f"{label}#{s.copy_index}:{route}")
             continue
-        dual = dual_poly(p) if setting == INVARIANT else additive_dual_poly(p)
-        partner_key = (dual.coeffs, k)
+        partner_key = (rule.dual(p).coeffs, k)
         partner = groups.get(partner_key)
         if partner is None or len(partner) != len(copies):
             raise NotDualPair(
@@ -511,24 +484,28 @@ def _assemble(M: Matrix, symmetry: str, setting: str, summands):
     return make_certificate(M, B, symmetry, setting, provenance)
 
 
-def construct_invariant_form(T: Matrix, symmetry: str) -> FormCertificate:
+def _construct(M: Matrix, symmetry: str, setting: str, seed: int,
+               degree_limit: int) -> FormCertificate:
+    report = decide_form(M, symmetry, setting, construct=True, seed=seed,
+                         degree_limit=degree_limit)
+    if not report.exists:
+        kinds = sorted({o.kind for o in report.obstructions})
+        raise DecisionFalse(f"no {symmetry} {setting} form exists: {kinds}")
+    return report.witness
+
+
+def construct_invariant_form(T: Matrix, symmetry: str, seed: int = 0,
+                             degree_limit: int = DEFAULT_DEGREE_LIMIT
+                             ) -> FormCertificate:
     """Assemble and verify a T-invariant non-degenerate witness of the
-    requested symmetry; DecisionFalse when none exists."""
-    from .decision import decide_invariant_form
-    report = decide_invariant_form(T, symmetry)
-    if not report.exists:
-        kinds = sorted({o.kind for o in report.obstructions})
-        raise DecisionFalse(f"no {symmetry} invariant form exists: {kinds}")
-    summands = indecomposable_decomposition(T)
-    return _assemble(T, symmetry, INVARIANT, summands)
+    requested symmetry; DecisionFalse when none exists.  This is
+    decide_invariant_form(..., construct=True) with the same seed and
+    degree_limit, returning the witness."""
+    return _construct(T, symmetry, INVARIANT, seed, degree_limit)
 
 
-def construct_infinitesimal_form(S: Matrix, symmetry: str) -> FormCertificate:
+def construct_infinitesimal_form(S: Matrix, symmetry: str, seed: int = 0,
+                                 degree_limit: int = DEFAULT_DEGREE_LIMIT
+                                 ) -> FormCertificate:
     """Same as construct_invariant_form, for S^t B + B S = 0."""
-    from .decision import decide_infinitesimal_form
-    report = decide_infinitesimal_form(S, symmetry)
-    if not report.exists:
-        kinds = sorted({o.kind for o in report.obstructions})
-        raise DecisionFalse(f"no {symmetry} infinitesimal form exists: {kinds}")
-    summands = indecomposable_decomposition(S)
-    return _assemble(S, symmetry, INFINITESIMAL, summands)
+    return _construct(S, symmetry, INFINITESIMAL, seed, degree_limit)

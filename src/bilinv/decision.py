@@ -1,9 +1,10 @@
 """Decision procedures: existence of invariant forms, the infinitesimal
 variant, and the reality classifier.
 
-Everything reads off the elementary divisors.  For an invertible T over
-a field of characteristic 0 or > dim, a non-degenerate invariant form of
-the requested symmetry exists iff
+Everything reads off the elementary divisors of one `ModuleStructure`
+per call.  For an invertible T over a field of characteristic 0 or
+> dim, a non-degenerate invariant form of the requested symmetry exists
+iff
 
   (i)  every divisor p^k with p away from x -+ 1 is self-dual or paired
        with its dual divisor at equal multiplicity, and
@@ -12,30 +13,30 @@ the requested symmetry exists iff
        even multiplicity,
 
 plus an even ambient dimension in the skew case.  Infinitesimally the
-same shape applies with additive duals, x^k playing the unipotent role
-(k even needs even multiplicity for symmetric, k odd for skew).
+same shape applies with additive duals, x^k playing the unipotent role.
+Both settings run one rule, `decide_form`, over the duality table
+`canonical.DUALITY`, whose two entries name the special linear factors,
+the dual operator and the obstructions of each setting.
 
 Reality of T in the general linear group is divisor-multiset equality of
-T and T^-1; real maps split into a symmetric-witness part and a
-skew-witness part along their indecomposable summands.
+T and T^-1, and the divisors of T^-1 are the duals p*^k of those of T;
+real maps split into a symmetric-witness part and a skew-witness part
+along their indecomposable summands.
 """
 
 from dataclasses import dataclass, field as dc_field
 
-from .canonical import (ElementaryDivisor, divisor_multiset,
-                        elementary_divisors, indecomposable_decomposition)
+from .canonical import (DUALITY, ODD_DIMENSION_SKEW, PARITY_DETAIL,
+                        ElementaryDivisor, ModuleStructure, divisor_multiset,
+                        natural_parity_ok)
+# the other obstruction kinds, re-exported beside the reports that use them
+from .canonical import (BAD_NILPOTENT_PARITY, BAD_UNIPOTENT_PARITY,  # noqa: F401
+                        UNPAIRED_ADDITIVE_DUAL, UNPAIRED_DUAL)
 from .certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
                            FormCertificate)
 from .errors import SmallCharacteristic, Singular
-from .linalg import Matrix, char_poly
-from .poly import (DEFAULT_DEGREE_LIMIT, Poly, additive_dual_poly, dual_poly,
-                   is_additively_self_dual, is_self_dual)
-
-UNPAIRED_DUAL = "UnpairedDual"
-BAD_UNIPOTENT_PARITY = "BadUnipotentParity"
-ODD_DIMENSION_SKEW = "OddDimensionSkew"
-UNPAIRED_ADDITIVE_DUAL = "UnpairedAdditiveDual"
-BAD_NILPOTENT_PARITY = "BadNilpotentParity"
+from .linalg import Matrix
+from .poly import DEFAULT_DEGREE_LIMIT
 
 
 @dataclass
@@ -73,20 +74,56 @@ class DecisionReport:
         return out
 
 
-def _linear_root_pm_one(p: Poly):
-    F = p.field
-    if p.degree != 1:
-        return None
-    c = p.coeff(0)
-    if c == F.neg(F.one):
-        return "x - 1"
-    if c == F.one:
-        return "x + 1"
-    return None
+def decide_form(M: Matrix, symmetry: str, setting: str,
+                construct: bool = False, seed: int = 0,
+                degree_limit: int = DEFAULT_DEGREE_LIMIT) -> DecisionReport:
+    """The decision rule of DUALITY[setting] on one ModuleStructure of M.
 
-
-def _is_x(p: Poly) -> bool:
-    return p.degree == 1 and p.field.is_zero(p.coeff(0))
+    All violations are reported, not only the first.  With construct
+    set, a witness certificate assembled from the same structure's
+    summands is attached to a positive report.
+    """
+    F = M.field
+    n = M.nrows
+    if not F.char_exceeds(n):
+        raise SmallCharacteristic(
+            f"need characteristic 0 or > {n}, have {F.characteristic}")
+    structure = ModuleStructure(M, seed, degree_limit)
+    if setting == INVARIANT and not structure.invertible:
+        raise Singular("invariant-form decision needs an invertible map")
+    rule = DUALITY[setting]
+    divisors = structure.elementary_divisors
+    have = divisor_multiset(divisors)
+    obstructions = []
+    if symmetry == SKEW and n % 2 == 1:
+        obstructions.append(ObstructionRecord(
+            ODD_DIMENSION_SKEW, divisors[0],
+            f"ambient dimension {n} is odd"))
+    for d in divisors:
+        special = rule.special_factor(d.p)
+        if special is not None:
+            if not natural_parity_ok(d.k, symmetry) and \
+                    d.multiplicity % 2 == 1:
+                obstructions.append(ObstructionRecord(
+                    rule.parity_kind, d, PARITY_DETAIL.format(
+                        label=special[1], k=d.k,
+                        need="odd" if symmetry == SYMMETRIC else "even",
+                        multiplicity=d.multiplicity)))
+            continue
+        if rule.is_self_dual(d.p):
+            continue
+        dual_mult = have.get((rule.dual(d.p).coeffs, d.k), 0)
+        if dual_mult != d.multiplicity:
+            obstructions.append(ObstructionRecord(
+                rule.unpaired_kind, d, rule.unpaired_detail.format(
+                    dual_multiplicity=dual_mult,
+                    multiplicity=d.multiplicity)))
+    report = DecisionReport(symmetry, setting, not obstructions,
+                            obstructions, divisors)
+    if construct and report.exists:
+        from .construction import assemble_witness
+        report.witness = assemble_witness(structure, symmetry, rule)
+    return report
 
 
 def decide_invariant_form(T: Matrix, symmetry: str, construct: bool = False,
@@ -97,47 +134,9 @@ def decide_invariant_form(T: Matrix, symmetry: str, construct: bool = False,
 
     All violations are reported, not only the first.  With construct
     set, a verified witness certificate is attached to a positive
-    report.
+    report; seed and degree_limit reach the factorizations of both.
     """
-    F = T.field
-    n = T.nrows
-    if not F.char_exceeds(n):
-        raise SmallCharacteristic(
-            f"need characteristic 0 or > {n}, have {F.characteristic}")
-    if F.is_zero(char_poly(T).constant_term()):
-        raise Singular("invariant-form decision needs an invertible map")
-    divisors = elementary_divisors(T, seed=seed, degree_limit=degree_limit)
-    have = divisor_multiset(divisors)
-    obstructions = []
-    if symmetry == SKEW and n % 2 == 1:
-        anchor = divisors[0]
-        obstructions.append(ObstructionRecord(
-            ODD_DIMENSION_SKEW, anchor,
-            f"ambient dimension {n} is odd"))
-    for d in divisors:
-        label = _linear_root_pm_one(d.p)
-        if label is not None:
-            ok = (d.k % 2 == 1) if symmetry == SYMMETRIC else (d.k % 2 == 0)
-            if not ok and d.multiplicity % 2 == 1:
-                need = "odd" if symmetry == SYMMETRIC else "even"
-                obstructions.append(ObstructionRecord(
-                    BAD_UNIPOTENT_PARITY, d,
-                    f"({label})^{d.k} needs exponent {need} or even "
-                    f"multiplicity, found multiplicity {d.multiplicity}"))
-            continue
-        if is_self_dual(d.p):
-            continue
-        dual_mult = have.get((dual_poly(d.p).coeffs, d.k), 0)
-        if dual_mult != d.multiplicity:
-            obstructions.append(ObstructionRecord(
-                UNPAIRED_DUAL, d,
-                f"dual divisor multiplicity {dual_mult} != {d.multiplicity}"))
-    report = DecisionReport(symmetry, INVARIANT, not obstructions,
-                            obstructions, divisors)
-    if construct and report.exists:
-        from .construction import construct_invariant_form
-        report.witness = construct_invariant_form(T, symmetry)
-    return report
+    return decide_form(T, symmetry, INVARIANT, construct, seed, degree_limit)
 
 
 def decide_infinitesimal_form(S: Matrix, symmetry: str,
@@ -146,41 +145,8 @@ def decide_infinitesimal_form(S: Matrix, symmetry: str,
                               ) -> DecisionReport:
     """Does B with S^t B + B S = 0, non-degenerate, of this symmetry
     exist?  S may be singular."""
-    F = S.field
-    n = S.nrows
-    if not F.char_exceeds(n):
-        raise SmallCharacteristic(
-            f"need characteristic 0 or > {n}, have {F.characteristic}")
-    divisors = elementary_divisors(S, seed=seed, degree_limit=degree_limit)
-    have = divisor_multiset(divisors)
-    obstructions = []
-    if symmetry == SKEW and n % 2 == 1:
-        obstructions.append(ObstructionRecord(
-            ODD_DIMENSION_SKEW, divisors[0],
-            f"ambient dimension {n} is odd"))
-    for d in divisors:
-        if _is_x(d.p):
-            ok = (d.k % 2 == 1) if symmetry == SYMMETRIC else (d.k % 2 == 0)
-            if not ok and d.multiplicity % 2 == 1:
-                need = "odd" if symmetry == SYMMETRIC else "even"
-                obstructions.append(ObstructionRecord(
-                    BAD_NILPOTENT_PARITY, d,
-                    f"x^{d.k} needs exponent {need} or even multiplicity, "
-                    f"found multiplicity {d.multiplicity}"))
-            continue
-        if is_additively_self_dual(d.p):
-            continue
-        dual_mult = have.get((additive_dual_poly(d.p).coeffs, d.k), 0)
-        if dual_mult != d.multiplicity:
-            obstructions.append(ObstructionRecord(
-                UNPAIRED_ADDITIVE_DUAL, d,
-                f"additive dual multiplicity {dual_mult} != {d.multiplicity}"))
-    report = DecisionReport(symmetry, INFINITESIMAL, not obstructions,
-                            obstructions, divisors)
-    if construct and report.exists:
-        from .construction import construct_infinitesimal_form
-        report.witness = construct_infinitesimal_form(S, symmetry)
-    return report
+    return decide_form(S, symmetry, INFINITESIMAL, construct, seed,
+                       degree_limit)
 
 
 @dataclass
@@ -215,35 +181,32 @@ def decide_real(T: Matrix, seed: int = 0,
                 degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RealityReport:
     """T is real in GL(V) iff T and T^-1 share all elementary divisors.
 
-    Both divisor lists are computed outright and compared as multisets.
-    When T is real and the characteristic allows it, the summands are
-    grouped into a part carrying a symmetric witness (odd unipotent-type
-    exponents, self-dual and paired divisors) and a part carrying a skew
-    witness (even unipotent-type exponents).
+    The divisors of T^-1 are the duals p*^k of the divisors p^k of T, so
+    one ModuleStructure of T answers the question.  When T is real and
+    the characteristic allows it, the summands are grouped into a part
+    carrying a symmetric witness (odd unipotent-type exponents, self-dual
+    and paired divisors) and a part carrying a skew witness (even
+    unipotent-type exponents).
     """
-    F = T.field
-    if F.is_zero(char_poly(T).constant_term()):
+    structure = ModuleStructure(T, seed, degree_limit)
+    if not structure.invertible:
         raise Singular("reality concerns invertible maps")
-    div_T = elementary_divisors(T, seed=seed, degree_limit=degree_limit)
-    div_inv = elementary_divisors(T.inverse(), seed=seed,
-                                  degree_limit=degree_limit)
-    inv_index = {(d.p.coeffs, d.k): d for d in div_inv}
+    rule = DUALITY[INVARIANT]
+    div_T = structure.elementary_divisors
+    inv_index = {(rule.dual(d.p).coeffs, d.k):
+                 ElementaryDivisor(rule.dual(d.p), d.k, d.multiplicity)
+                 for d in div_T}
     mismatches = []
     for d in div_T:
         other = inv_index.get((d.p.coeffs, d.k))
         if other is None or other.multiplicity != d.multiplicity:
             mismatches.append((d, other))
-    is_real = not mismatches and \
-        divisor_multiset(div_T) == divisor_multiset(div_inv)
-    report = RealityReport(is_real, mismatches, divisors=div_T)
-    if is_real and F.char_exceeds(T.nrows):
-        summands = indecomposable_decomposition(T, seed=seed,
-                                                degree_limit=degree_limit)
+    report = RealityReport(not mismatches, mismatches, divisors=div_T)
+    F = T.field
+    if report.is_real and F.char_exceeds(T.nrows):
         sym_cols, skew_cols = [], []
-        for s in summands:
-            unipotent_type = (s.p.degree == 1
-                              and s.p.coeff(0) in (F.one, F.neg(F.one)))
-            if unipotent_type and s.k % 2 == 0:
+        for s in structure.summands:
+            if rule.special_factor(s.p) is not None and s.k % 2 == 0:
                 skew_cols.extend(s.basis.cols())
             else:
                 sym_cols.extend(s.basis.cols())

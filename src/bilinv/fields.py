@@ -19,19 +19,41 @@ from fractions import Fraction
 from .errors import MixedFields, ZeroInverse
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly
+# below this bound (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", 2015); above it a base can still prove n composite.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; intended for moduli up to ~10**6."""
+    """Deterministic Miller-Rabin test.
+
+    Exact below PRIMALITY_BOUND.  Above it a composite found by one of
+    the bases still returns False, and any other n raises ValueError.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality of {n} is not decided at or above "
+                         f"{PRIMALITY_BOUND}")
     return True
 
 

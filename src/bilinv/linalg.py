@@ -9,7 +9,6 @@ is kept alongside as an independent cross-check for small sizes.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotSquare, Singular
@@ -282,26 +281,6 @@ class Matrix:
         return Matrix(F, rows, coerce=False)
 
 
-@dataclass
-class LinearSolveResult:
-    """Outcome of a rectangular exact solve: optional particular solution
-    plus a complete kernel basis."""
-
-    particular: object  # tuple of scalars, or None when inconsistent
-    kernel_basis: list
-
-
-def solve_linear(A: Matrix, b) -> LinearSolveResult:
-    """Solve A x = b; report a particular solution (if any) and the kernel."""
-    F = A.field
-    rhs = Matrix(F, [[c] for c in b])
-    try:
-        part = tuple(A.solve_right(rhs).col(0))
-    except Singular:
-        part = None
-    return LinearSolveResult(part, A.kernel_basis())
-
-
 def _rref(M: Matrix):
     """Reduced row echelon form and pivot column list (deterministic)."""
     F = M.field
@@ -509,8 +488,3 @@ def restriction(T: Matrix, basis_cols: Matrix) -> Matrix:
     Solves basis * X = T * basis; Singular if the span is not invariant.
     """
     return basis_cols.solve_right(T * basis_cols)
-
-
-def gram_in_basis(B: Matrix, basis_cols: Matrix) -> Matrix:
-    """Gram matrix of the form B restricted to the given column span."""
-    return basis_cols.transpose() * B * basis_cols

@@ -146,13 +146,6 @@ def find_nondegenerate(space: InvariantFormSpace, seed: int = 0,
     return None
 
 
-def oracle_witness(M: Matrix, symmetry: str, setting: str = INVARIANT,
-                   seed: int = 0, trials: int = DEFAULT_TRIALS):
-    """Convenience: solve the space, then search; None means no witness."""
-    return find_nondegenerate(solve_form_space(M, symmetry, setting),
-                              seed=seed, trials=trials)
-
-
 GROUP_SIZE_LIMIT = 10 ** 4
 
 

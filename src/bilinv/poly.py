@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import (DegreeLimit, MixedFields, NotEvenPolynomial, NotSelfDual,
                      OddDegree, ZeroConstantTerm)
-from .fields import Field, PrimeField, QQ
+from .fields import Field, PrimeField, QQ, is_prime
 
 DEFAULT_DEGREE_LIMIT = 24
 
@@ -370,13 +370,6 @@ def factor(f: Poly, seed: int = 0,
     return fac
 
 
-def is_irreducible(f: Poly, seed: int = 0) -> bool:
-    if f.degree < 1:
-        return False
-    fac = factor(f, seed=seed)
-    return len(fac.factors) == 1 and fac.factors[0][1] == 1
-
-
 # --- factorization over F_p ----------------------------------------------
 
 def _pth_root_fp(f: Poly) -> Poly:
@@ -571,7 +564,7 @@ def _zassenhaus(zc, rng):
             if fp.degree == n and poly_gcd(fp, fp.derivative()).is_one():
                 break
         p += 2
-        while not _is_small_prime(p):
+        while not is_prime(p):
             p += 2
     modular = [g.monic() for g in _equal_degree_all(Poly(Fp, zc).monic(), rng)]
     if len(modular) == 1:
@@ -584,15 +577,6 @@ def _zassenhaus(zc, rng):
         a += 1
     lifted = _hensel_lift(zc, modular, p, a)
     return _recombine(zc, lifted, p ** a)
-
-
-def _is_small_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, int(n ** 0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def _equal_degree_all(fp: Poly, rng):

@@ -1,16 +1,14 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from bilinv.canonical import (elementary_divisors, divisor_multiset,
                               indecomposable_decomposition, invariant_factors,
-                              jordan_chevalley, min_poly,
-                              primary_decomposition)
-from bilinv.errors import SmallCharacteristic, Singular
+                              jordan_chevalley, min_poly)
+from bilinv.errors import SmallCharacteristic
 from bilinv.fields import PrimeField, QQ
-from bilinv.linalg import Matrix, char_poly, eval_poly_at_matrix, restriction
-from bilinv.poly import Poly, factor
+from bilinv.linalg import Matrix, char_poly, eval_poly_at_matrix
+from bilinv.poly import Poly, dual_poly, factor
 
 F101 = PrimeField(101)
 
@@ -117,36 +115,16 @@ def test_elementary_divisors_degree_limit_propagates():
     assert sum(d.dim for d in divs) == 26
 
 
-def test_primary_decomposition_examples():
-    T = Matrix.diagonal(QQ, [1, -1, 2, Fraction(1, 2)])
-    pd = primary_decomposition(T)
-    assert (pd.e, pd.f) == (1, 1)
-    assert pd.chi_o == Poly.x_minus(QQ, 2) * Poly.x_minus(QQ, Fraction(1, 2))
-    U = Matrix.jordan_block(QQ, 1, 3)
-    pd = primary_decomposition(U)
-    assert (pd.e, pd.f) == (3, 0) and pd.chi_o.is_one()
-    assert pd.basis_o.ncols == 0
-    C = Matrix.companion(Poly.parse(QQ, "x^2-3*x+1"))
-    pd = primary_decomposition(C)
-    assert (pd.e, pd.f) == (0, 0) and pd.basis_o.ncols == 2
-    with pytest.raises(Singular):
-        primary_decomposition(Matrix.diagonal(QQ, [1, 0]))
-
-
-def test_primary_blocks_are_invariant():
-    rng = random.Random(53)
-    T = Matrix.block_diagonal(QQ, [
-        Matrix.jordan_block(QQ, 1, 2),
-        Matrix.jordan_block(QQ, -1, 1),
-        Matrix.companion(Poly.parse(QQ, "x^2-3*x+1"))])
-    g = rand_invertible(QQ, 5, rng)
-    Tc = g * T * g.inverse()
-    pd = primary_decomposition(Tc)
-    assert pd.basis_plus.ncols == 2 and pd.basis_minus.ncols == 1
-    for basis in (pd.basis_plus, pd.basis_minus, pd.basis_o):
-        if basis.ncols:
-            restriction(Tc, basis)   # raises unless invariant
-    assert char_poly(pd.T_o) == pd.chi_o
+def test_inverse_divisors_are_duals():
+    # decide_real reads the divisors of T^-1 as the duals of those of T;
+    # this keeps the direct route as the reference for that shortcut
+    rng = random.Random(97)
+    for field in (F101, QQ):
+        for _ in range(12):
+            T = rand_invertible(field, rng.randrange(1, 7), rng)
+            duals = {(dual_poly(d.p).coeffs, d.k): d.multiplicity
+                     for d in elementary_divisors(T)}
+            assert divisor_multiset(elementary_divisors(T.inverse())) == duals
 
 
 def expected_local_block(field, p, k):

@@ -44,6 +44,23 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     assert code == 0 and out["verified"]
 
 
+def test_construct_honours_degree_limit(tmp_path, capsys):
+    # 25 distinct eigenvalues: one invariant factor of degree 25, above
+    # the default factorization cap of 24
+    diag = ["1"] + [e for k in range(2, 14) for e in (str(k), f"1/{k}")]
+    rows = [[diag[i] if i == j else "0" for j in range(25)]
+            for i in range(25)]
+    path = write_instance(tmp_path, "d25.json", "Q", rows)
+    code, out = run_json(capsys, ["construct", path, "--symmetry",
+                                  "symmetric", "--degree-limit", "30"])
+    assert code == 0 and out["exists"] and "witness" in out
+    path2 = write_instance(tmp_path, "d25v.json", "Q", rows,
+                           gram=out["witness"]["gram"])
+    code, out = run_json(capsys, ["verify", path2, "--symmetry", "symmetric",
+                                  "--setting", "invariant"])
+    assert code == 0 and out["verified"]
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     path = write_instance(tmp_path, "bad.json", "Q", J2,
                           gram=[["1", "0"], ["0", "1"]])
@@ -112,6 +129,15 @@ def test_bad_instance_files(tmp_path, capsys):
     path = write_instance(tmp_path, "badf.json", {"Fp": 10}, J2)
     code, out = run_json(capsys, ["decide", path, "--symmetry", "skew"])
     assert code == 2
+    path = write_instance(tmp_path, "bigf.json", {"Fp": 2 ** 89 - 1}, J2)
+    code, out = run_json(capsys, ["decide", path, "--symmetry", "skew"])
+    assert code == 2 and out["error"]["kind"] == "InputError"
+    for value in (5, []):
+        path = tmp_path / "notobj.json"
+        path.write_text(json.dumps(value))
+        code, out = run_json(capsys, ["decide", str(path), "--symmetry",
+                                      "skew"])
+        assert code == 2 and out["error"]["kind"] == "InputError"
 
 
 def test_capability_error_small_characteristic(tmp_path, capsys):

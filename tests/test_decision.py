@@ -1,9 +1,14 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import bilinv.canonical
+import bilinv.linalg
 from bilinv.certificates import SKEW, SYMMETRIC
+from bilinv.construction import (construct_infinitesimal_form,
+                                 construct_invariant_form)
 from bilinv.decision import (BAD_UNIPOTENT_PARITY, ODD_DIMENSION_SKEW,
                              UNPAIRED_ADDITIVE_DUAL, UNPAIRED_DUAL,
                              decide_infinitesimal_form, decide_invariant_form,
@@ -59,6 +64,8 @@ def test_preconditions():
         decide_invariant_form(Matrix.diagonal(QQ, [1, 0]), SYMMETRIC)
     with pytest.raises(SmallCharacteristic):
         decide_invariant_form(Matrix.identity(PrimeField(3), 3), SYMMETRIC)
+    # the zero-dimensional map carries the empty form
+    assert decide_invariant_form(Matrix(QQ, []), SKEW).exists
 
 
 def test_infinitesimal_cases():
@@ -149,3 +156,47 @@ def test_reality_matches_inverse():
     for _ in range(10):
         T = rand_invertible(F101, rng.randrange(1, 5), rng)
         assert decide_real(T).is_real == decide_real(T.inverse()).is_real
+
+
+def count_structure_calls(monkeypatch):
+    """Count Smith forms and char_poly calls made through bilinv."""
+    counts = {"smith": 0, "char_poly": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bilinv.canonical, "smith_normal_form",
+                        counted("smith", bilinv.canonical.smith_normal_form))
+    original = bilinv.linalg.char_poly
+    wrapper = counted("char_poly", original)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bilinv") and \
+                getattr(mod, "char_poly", None) is original:
+            monkeypatch.setattr(mod, "char_poly", wrapper)
+    return counts
+
+
+def test_one_structure_per_call(monkeypatch):
+    # no self-dual block, so no Jordan-Chevalley splitting runs
+    rng = random.Random(101)
+    g = rand_invertible(QQ, 6, rng)
+    T = g * Matrix.block_diagonal(QQ, [
+        Matrix.jordan_block(QQ, 1, 3), Matrix.jordan_block(QQ, -1, 1),
+        Matrix.diagonal(QQ, [2, Fraction(1, 2)])]) * g.inverse()
+    S = g * Matrix.block_diagonal(QQ, [
+        Matrix.jordan_block(QQ, 0, 3), Matrix.jordan_block(QQ, 0, 1),
+        Matrix.diagonal(QQ, [2, -2])]) * g.inverse()
+    counts = count_structure_calls(monkeypatch)
+    calls = [
+        lambda: decide_invariant_form(T, SYMMETRIC),
+        lambda: construct_invariant_form(T, SYMMETRIC),
+        lambda: construct_infinitesimal_form(S, SYMMETRIC),
+        lambda: decide_real(T),
+    ]
+    for call in calls:
+        counts.update(smith=0, char_poly=0)
+        call()
+        assert counts == {"smith": 1, "char_poly": 0}

@@ -29,6 +29,11 @@ def test_primality_guard():
         PrimeField(91)   # 7 * 13
     assert is_prime(2) and is_prime(999983)
     assert not is_prime(1) and not is_prime(1000000)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(2 ** 61 + 1)
+    assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+    with pytest.raises(ValueError):
+        is_prime(2 ** 89 - 1)    # prime, beyond the exact range
 
 
 def test_field_axioms_random():

@@ -6,7 +6,7 @@ import pytest
 from bilinv.errors import NotSquare, Singular
 from bilinv.fields import PrimeField, QQ
 from bilinv.linalg import (Matrix, char_poly, char_poly_faddeev, det_cofactor,
-                           eval_poly_at_matrix, restriction, solve_linear)
+                           eval_poly_at_matrix, restriction)
 from bilinv.poly import Poly
 
 F101 = PrimeField(101)
@@ -39,17 +39,6 @@ def test_det_multiplicative_and_cofactor_agreement():
                 B = rand_matrix(field, n, rng)
                 assert (A * B).det() == field.mul(A.det(), B.det())
                 assert A.det() == det_cofactor(A)
-
-
-def test_solve_examples():
-    res = solve_linear(Matrix.identity(QQ, 2), (1, 2))
-    assert res.particular == (1, 2) and res.kernel_basis == []
-    res = solve_linear(Matrix(QQ, [[1, 1], [2, 2]]), (0, 0))
-    assert len(res.kernel_basis) == 1
-    v = res.kernel_basis[0]
-    assert v[0] == -v[1] != 0
-    res = solve_linear(Matrix(QQ, [[1, 1], [2, 2]]), (1, 0))
-    assert res.particular is None
 
 
 def test_kernel_vectors_annihilate():

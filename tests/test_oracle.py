@@ -8,7 +8,7 @@ from bilinv.fields import PrimeField, QQ
 from bilinv.linalg import Matrix
 from bilinv.oracle import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
                            brute_force_reality, find_nondegenerate,
-                           oracle_witness, solve_form_space)
+                           solve_form_space)
 
 
 def test_space_dimensions():
@@ -58,7 +58,8 @@ def test_witness_soundness_random():
             if not F.is_zero(T.det()):
                 break
         for symmetry in (SYMMETRIC, SKEW):
-            W = oracle_witness(T, symmetry, INVARIANT, seed=3)
+            W = find_nondegenerate(solve_form_space(T, symmetry, INVARIANT),
+                                   seed=3)
             if W is not None:
                 assert all(verify_gram(T, W, symmetry, INVARIANT).values())
 

@@ -4,15 +4,23 @@ rules that read form existence off the divisors, and the
 semisimple/unipotent (or nilpotent) splitting.
 
 Everything is driven by one kernel: the Smith normal form of xI - T over
-F[x], computed with partial pivoting on lowest-degree entries.  A
-`ModuleStructure` runs it once per matrix, tracking the inverse row
+F[x], computed with partial pivoting on lowest-degree entries.  The
+kernel runs on raw coefficient lists (lowest degree first, trailing
+zeros stripped) rather than `Poly` objects: over F_p on ints with one
+reduction mod p per output coefficient, over Q on Fractions with plain
+operators, with each row or column update a fused a - q*b or a + q*b.
+`Poly` objects are built only for the returned diagonal and transform.
+A `ModuleStructure` runs it once per matrix, tracking the inverse row
 transform, and factors each invariant factor once.  The elementary
 divisors, invertibility and the indecomposable summands are all read
 from that one analysis: the tracked transform yields, for each
 nonconstant invariant factor, an explicit generator of the corresponding
 cyclic summand, and splitting the generators along the factorization of
 their annihilators produces the indecomposable decomposition with a
-basis per summand.
+basis per summand.  A generator sum_j pinv[j][i](T) e_j is evaluated as
+sum_k T^k u_k, u_k the x^k coefficients of transform column i, by
+Horner on vectors; so are the annihilation check and the cofactor
+projections, so the decomposition costs matrix-vector products only.
 
 Basis convention inside a summand with divisor p^k and generator v:
 
@@ -31,17 +39,61 @@ from typing import Callable
 
 from .certificates import INFINITESIMAL, INVARIANT, SYMMETRIC
 from .errors import NotSquare, Singular, SmallCharacteristic
-from .linalg import Matrix, eval_poly_at_matrix, matrix_powers, restriction
+from .linalg import Matrix, eval_poly_at_matrix, restriction
 from .poly import (DEFAULT_DEGREE_LIMIT, Poly, additive_dual_poly, dual_poly,
                    factor, invert_mod, poly_gcd)
 
 
 # --- Smith normal form over F[x] -------------------------------------------
+#
+# The kernel works on raw coefficient lists, lowest degree first, trailing
+# zeros stripped (the zero polynomial is []).  Over F_p the entries are
+# ints, left unreduced inside one update and reduced once per output
+# coefficient; over Q they are Fractions under plain operators.  `p` is
+# the modulus, or None over Q; `zero` is the field's zero scalar.
 
-def _poly_identity(field, n):
-    # builds no entry for n = 0, where the field is unknown (None)
-    return [[Poly.one(field) if i == j else Poly.zero(field)
-             for j in range(n)] for i in range(n)]
+def _scale(a, c, p):
+    return [x * c % p for x in a] if p is not None else [x * c for x in a]
+
+
+def _axpy(a, q, b, p, zero):
+    """a + q*b, for nonzero q and b."""
+    size = len(q) + len(b) - 1
+    out = a + [zero] * (size - len(a)) if len(a) < size else a[:]
+    for i, c in enumerate(q):
+        if c:
+            for j, y in enumerate(b, i):
+                out[j] += c * y
+    if p is not None:
+        out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _divmod(a, b, p, zero):
+    """(quotient, remainder) of a by a nonzero b."""
+    inv = pow(b[-1], p - 2, p) if p is not None else 1 / b[-1]
+    if len(b) == 1:
+        return _scale(a, inv, p), []
+    db = len(b) - 1
+    dq = len(a) - len(b)
+    if dq < 0:
+        return [], a
+    rem = a[:]
+    quo = [zero] * (dq + 1)
+    for i in range(dq, -1, -1):
+        c = rem[i + db] * inv
+        if p is not None:
+            c %= p
+        if c:
+            quo[i] = c
+            for j, y in enumerate(b, i):
+                rem[j] -= c * y
+    rem = rem[:db] if p is None else [c % p for c in rem[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
 
 
 def smith_normal_form(A, track: bool = False):
@@ -53,95 +105,98 @@ def smith_normal_form(A, track: bool = False):
     Column transforms are not tracked (the applications never need them).
     """
     n = len(A)
-    M = [row[:] for row in A]
-    field = None
-    for row in M:
-        for e in row:
-            field = e.field
-            break
-        break
-    pinv = _poly_identity(field, n) if track else None
+    if n == 0:
+        return [], ([] if track else None)
+    field = A[0][0].field
+    p = field.p if field.characteristic else None
+    zero, one = field.zero, field.one
+    minus_one = field.neg(one)
+    M = [[list(e.coeffs) for e in row] for row in A]
+    # the transpose of pinv: row operations on M are column operations
+    # on pinv, so they become row operations here
+    pinv_t = [[[one] if i == j else [] for j in range(n)]
+              for i in range(n)] if track else None
 
     def row_axpy(dst, src, q):
         # row_dst -= q * row_src ; inverse transform: col_src += q * col_dst
+        mq = _scale(q, minus_one, p)
+        Md, Ms = M[dst], M[src]
         for j in range(n):
-            M[dst][j] = M[dst][j] - q * M[src][j]
+            if Ms[j]:
+                Md[j] = _axpy(Md[j], mq, Ms[j], p, zero)
         if track:
+            Pd, Ps = pinv_t[dst], pinv_t[src]
             for a in range(n):
-                pinv[a][src] = pinv[a][src] + q * pinv[a][dst]
-
-    def row_swap(i, j):
-        M[i], M[j] = M[j], M[i]
-        if track:
-            for a in range(n):
-                pinv[a][i], pinv[a][j] = pinv[a][j], pinv[a][i]
-
-    def row_add(dst, src):
-        # row_dst += row_src ; inverse transform: col_src -= col_dst
-        for j in range(n):
-            M[dst][j] = M[dst][j] + M[src][j]
-        if track:
-            for a in range(n):
-                pinv[a][src] = pinv[a][src] - pinv[a][dst]
+                if Pd[a]:
+                    Ps[a] = _axpy(Ps[a], q, Pd[a], p, zero)
 
     for t in range(n):
         while True:
             # lowest-degree nonzero pivot in the trailing block
             best = None
             for i in range(t, n):
+                row = M[i]
                 for j in range(t, n):
-                    if not M[i][j].is_zero():
-                        if best is None or M[i][j].degree < best[0]:
-                            best = (M[i][j].degree, i, j)
+                    e = row[j]
+                    if e and (best is None or len(e) < best[0]):
+                        best = (len(e), i, j)
             if best is None:
                 break
             _, bi, bj = best
             if bi != t:
-                row_swap(t, bi)
+                M[t], M[bi] = M[bi], M[t]
+                if track:
+                    pinv_t[t], pinv_t[bi] = pinv_t[bi], pinv_t[t]
             if bj != t:
                 for row in M:
                     row[t], row[bj] = row[bj], row[t]
             clean = True
             for r in range(t + 1, n):
-                if not M[r][t].is_zero():
-                    q = M[r][t] // M[t][t]
+                if M[r][t]:
+                    q = _divmod(M[r][t], M[t][t], p, zero)[0]
                     row_axpy(r, t, q)
-                    if not M[r][t].is_zero():
+                    if M[r][t]:
                         clean = False
             for c in range(t + 1, n):
-                if not M[t][c].is_zero():
-                    q = M[t][c] // M[t][t]
+                if M[t][c]:
+                    mq = _scale(_divmod(M[t][c], M[t][t], p, zero)[0],
+                                minus_one, p)
                     for row in M:
-                        row[c] = row[c] - q * row[t]
-                    if not M[t][c].is_zero():
+                        if row[t]:
+                            row[c] = _axpy(row[c], mq, row[t], p, zero)
+                    if M[t][c]:
                         clean = False
             if not clean:
                 continue
-            if any(not M[r][t].is_zero() for r in range(t + 1, n)) or \
-               any(not M[t][c].is_zero() for c in range(t + 1, n)):
-                continue
-            # enforce divisibility into the trailing block
+            # enforce divisibility into the trailing block (a constant
+            # pivot divides everything)
             culprit = None
-            for r in range(t + 1, n):
-                for c in range(t + 1, n):
-                    if not (M[r][c] % M[t][t]).is_zero():
-                        culprit = r
+            pivot = M[t][t]
+            if len(pivot) > 1:
+                for r in range(t + 1, n):
+                    for c in range(t + 1, n):
+                        if M[r][c] and _divmod(M[r][c], pivot, p, zero)[1]:
+                            culprit = r
+                            break
+                    if culprit is not None:
                         break
-                if culprit is not None:
-                    break
             if culprit is None:
                 break
-            row_add(t, culprit)
+            row_axpy(t, culprit, [minus_one])    # row_t += row_culprit
     diag = []
     for i in range(n):
         d = M[i][i]
-        if not (d.is_zero() or d.is_monic()):
-            lc = d.lc
-            M[i][i] = d.monic()
+        if d and d[-1] != one:
+            lc = d[-1]
+            d = _scale(d, field.inv(lc), p)
             if track:
-                for a in range(n):
-                    pinv[a][i] = pinv[a][i].scale(lc)
-        diag.append(M[i][i])
+                pinv_t[i] = [_scale(e, lc, p) for e in pinv_t[i]]
+        diag.append(Poly(field, tuple(d), normalize=False))
+    if track:
+        pinv = [[Poly(field, tuple(pinv_t[j][i]), normalize=False)
+                 for j in range(n)] for i in range(n)]
+    else:
+        pinv = None
     return diag, pinv
 
 
@@ -163,13 +218,15 @@ def invariant_factors(T: Matrix):
 
 
 def min_poly(T: Matrix) -> Poly:
-    """Monic minimal polynomial: the largest invariant factor of xI - T."""
-    return invariant_factors(T)[-1]
+    """Monic minimal polynomial: the largest invariant factor of xI - T
+    (1 for the 0 x 0 matrix)."""
+    diag = invariant_factors(T)
+    return diag[-1] if diag else Poly.one(T.field)
 
 
 # --- elementary divisors and summands ----------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementaryDivisor:
     """An irreducible power p^k occurring in `multiplicity` summands."""
 
@@ -194,7 +251,7 @@ def divisor_multiset(divisors):
     return {(d.p.coeffs, d.k): d.multiplicity for d in divisors}
 
 
-@dataclass
+@dataclass(slots=True)
 class IndecomposableSummand:
     """One cyclic summand with annihilator p^k and an explicit basis."""
 
@@ -212,7 +269,23 @@ class IndecomposableSummand:
         return (self.p.coeffs, self.k)
 
 
-def _summand_basis(T: Matrix, p: Poly, k: int, v, powers):
+def _krylov_sum(T: Matrix, vecs):
+    """sum_k T^k vecs[k] by Horner on vectors: one matrix-vector product
+    per term instead of a power of T."""
+    F = T.field
+    acc = vecs[-1]
+    for u in reversed(vecs[:-1]):
+        acc = tuple(F.add(a, b) for a, b in zip(T.apply(acc), u))
+    return acc
+
+
+def _poly_apply(f: Poly, T: Matrix, v):
+    """f(T) v by Horner on vectors (f nonzero)."""
+    F = T.field
+    return _krylov_sum(T, [tuple(F.mul(c, x) for x in v) for c in f.coeffs])
+
+
+def _summand_basis(T: Matrix, p: Poly, k: int, v):
     F = T.field
     r = p.degree * k
     special = DUALITY[INVARIANT].special_factor(p)
@@ -229,7 +302,7 @@ def _summand_basis(T: Matrix, p: Poly, k: int, v, powers):
         return Matrix.from_cols(F, cols)
     cols = [v]
     for i in range(1, r):
-        cols.append(powers[1].apply(cols[-1]))
+        cols.append(T.apply(cols[-1]))
     return Matrix.from_cols(F, cols)
 
 
@@ -293,24 +366,19 @@ class ModuleStructure:
         F = T.field
         n = T.nrows
         pinv = self._pinv
-        max_deg = max([n] + [e.degree for row in pinv for e in row])
-        powers = matrix_powers(T, max(1, max_deg))
         summands = []
         for idx, d, fac in self.factorizations:
-            gen = tuple(F.zero for _ in range(n))
-            for j in range(n):
-                entry = pinv[j][idx]
-                if entry.is_zero():
-                    continue
-                col = tuple(eval_poly_at_matrix(entry, T, powers).col(j))
-                gen = tuple(F.add(a, b) for a, b in zip(gen, col))
-            assert all(F.is_zero(c)
-                       for c in eval_poly_at_matrix(d, T, powers).apply(gen)), \
+            # generator sum_j pinv[j][idx](T) e_j = sum_k T^k u_k, where
+            # u_k holds the x^k coefficients of transform column idx
+            column = [pinv[j][idx] for j in range(n)]
+            deg = max(e.degree for e in column)
+            gen = _krylov_sum(T, [tuple(e.coeff(k) for e in column)
+                                  for k in range(deg + 1)])
+            assert all(F.is_zero(c) for c in _poly_apply(d, T, gen)), \
                 "generator not annihilated by its invariant factor"
             for p, k in fac:
-                cof = d // p ** k
-                w = eval_poly_at_matrix(cof, T, powers).apply(gen)
-                basis = _summand_basis(T, p, k, w, powers)
+                w = _poly_apply(d // p ** k, T, gen)
+                basis = _summand_basis(T, p, k, w)
                 summands.append(IndecomposableSummand(p, k, 0, basis, w))
         summands.sort(key=lambda s: (s.p.degree, s.p.coeffs, s.k))
         counters: dict = {}
@@ -361,7 +429,7 @@ PARITY_DETAIL = ("{label}^{k} needs exponent {need} or even multiplicity, "
                  "found multiplicity {multiplicity}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualityRule:
     """How one setting reads form existence off the elementary divisors.
 
@@ -406,7 +474,7 @@ DUALITY = {
 
 # --- semisimple / unipotent splitting ----------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class JordanChevalley:
     """Commuting exact splitting of a map into semisimple and unipotent
     (multiplicative) or semisimple and nilpotent (additive) parts."""

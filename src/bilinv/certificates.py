@@ -105,7 +105,7 @@ def symmetry_of(B: Matrix):
     return None
 
 
-@dataclass
+@dataclass(slots=True)
 class FormCertificate:
     """A verified Gram witness for a map; unconstructible unless all
     three checks pass."""

@@ -13,13 +13,17 @@ take neither.
 
 Exit codes: 0 computed (even when the answer is "no form exists"),
 1 verification failure, 2 input error, 3 capability error (degree limit,
-rationals unsupported, small characteristic, group too large).
-All errors are also reported as {"error": {"kind", "detail"}} on stdout.
+rationals unsupported, small characteristic, group too large), 4 internal
+error (a failed internal consistency check or any other unexpected
+exception: a bug, never an answer about the input).
+All errors are also reported as {"error": {"kind", "detail"}} on stdout,
+with kind "InternalError" for exit code 4.
 """
 
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .certificates import (INFINITESIMAL, INVARIANT, SETTINGS, SKEW,
@@ -89,6 +93,14 @@ def load_instance(path, need_gram=False):
 
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _internal_error_exit(exc) -> int:
+    # the traceback goes to stderr, so stdout stays one JSON document
+    traceback.print_exception(exc, file=sys.stderr)
+    detail = "".join(traceback.format_exception_only(exc)).strip()
+    _emit({"error": {"kind": "InternalError", "detail": detail}})
+    return 4
 
 
 def _error_exit(exc) -> int:
@@ -307,6 +319,8 @@ def run(argv) -> int:
         return _COMMANDS[args.command](args)
     except BilinvError as exc:
         return _error_exit(exc)
+    except Exception as exc:
+        return _internal_error_exit(exc)
 
 
 def main() -> None:

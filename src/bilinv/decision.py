@@ -39,7 +39,7 @@ from .linalg import Matrix
 from .poly import DEFAULT_DEGREE_LIMIT
 
 
-@dataclass
+@dataclass(slots=True)
 class ObstructionRecord:
     kind: str
     divisor: ElementaryDivisor
@@ -51,7 +51,7 @@ class ObstructionRecord:
                 "detail": self.detail}
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionReport:
     symmetry: str
     setting: str
@@ -149,7 +149,7 @@ def decide_infinitesimal_form(S: Matrix, symmetry: str,
                        degree_limit)
 
 
-@dataclass
+@dataclass(slots=True)
 class RealityReport:
     """Is T conjugate to its inverse, and the symmetric/skew splitting."""
 

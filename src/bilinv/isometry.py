@@ -43,20 +43,38 @@ GENERAL_ODD = "GeneralOdd"
 SYMPLECTIC_EVEN = "SymplecticEven"
 
 
-@dataclass
+@dataclass(slots=True)
 class OrthogonalSummand:
-    basis: Matrix          # ambient columns
+    """One orthogonal summand.  Its basis is kept one row per basis
+    vector: summands are tall and narrow, and a report that keeps a row
+    tuple per ambient coordinate instead takes several times the memory."""
+
+    vectors: Matrix        # dim x n: the basis vectors as rows
     kind: str
     block_size: int        # k: chain length of each indecomposable piece
-    halves: tuple = None   # (half_1, half_2) column matrices, standard pairs
+
+    @property
+    def basis(self) -> Matrix:
+        """The basis vectors as the columns of an n x dim matrix."""
+        return self.vectors.transpose()
+
+    @property
+    def halves(self):
+        """(half_1, half_2) column matrices of a standard pair, its first
+        and last block_size basis vectors; None for other kinds."""
+        if self.kind != STANDARD_PAIR:
+            return None
+        k, n = self.block_size, self.vectors.ncols
+        return tuple(self.vectors.submatrix(rows, range(n)).transpose()
+                     for rows in (range(k), range(k, 2 * k)))
 
     def to_json(self):
         return {"kind": self.kind, "block_size": self.block_size,
-                "dim": self.basis.ncols,
-                "basis": self.basis.transpose().to_str_rows()}
+                "dim": self.vectors.nrows,
+                "basis": self.vectors.to_str_rows()}
 
 
-@dataclass
+@dataclass(slots=True)
 class OrthogonalSummandReport:
     summands: list
     symmetry: str
@@ -183,8 +201,8 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
             local = Matrix.from_cols(F, _chain(N, v, k))
             kind = ODD_INDECOMPOSABLE if symmetry == SYMMETRIC \
                 else EVEN_INDECOMPOSABLE
-            summand_cols = cols * local
-            summands.append(OrthogonalSummand(summand_cols, kind, k))
+            summands.append(OrthogonalSummand(
+                (cols * local).transpose(), kind, k))
         else:
             u = next(tuple(F.one if t == i else F.zero for t in range(d))
                      for i in range(d)
@@ -197,10 +215,8 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
             half_u = Matrix.from_cols(F, _chain(N, u, k))
             half_w = Matrix.from_cols(F, _chain(N, w, k))
             local = half_u.hstack(half_w)
-            summand_cols = cols * local
             summands.append(OrthogonalSummand(
-                summand_cols, STANDARD_PAIR, k,
-                halves=(cols * half_u, cols * half_w)))
+                (cols * local).transpose(), STANDARD_PAIR, k))
         gram = local.transpose() * B_cur * local
         assert not F.is_zero(gram.det()), "summand restriction degenerate"
         # B-orthogonal complement inside the current subspace
@@ -220,15 +236,16 @@ def _validate_orthogonal_report(T, B, report):
     F = T.field
     total = 0
     for i, s in enumerate(report.summands):
-        total += s.basis.ncols
-        gram = s.basis.transpose() * B * s.basis
+        basis = s.basis
+        total += basis.ncols
+        gram = s.vectors * B * basis
         assert not F.is_zero(gram.det())
-        s.basis.solve_right(T * s.basis)    # invariance
+        basis.solve_right(T * basis)    # invariance
         if s.kind == STANDARD_PAIR:
             for half in s.halves:
                 assert (half.transpose() * B * half).is_zero()
         for other in report.summands[i + 1:]:
-            assert (s.basis.transpose() * B * other.basis).is_zero()
+            assert (s.vectors * B * other.basis).is_zero()
     assert total == T.nrows
 
 
@@ -327,7 +344,7 @@ def witt_index(B: Matrix, field=None) -> int:
 
 # --- level bounds -----------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class LevelReport:
     level: int
     witt_index: int

@@ -441,30 +441,21 @@ def char_poly_faddeev(T: Matrix) -> Poly:
     return Poly(F, list(reversed(coeffs)))
 
 
-def eval_poly_at_matrix(f: Poly, T: Matrix, powers=None) -> Matrix:
-    """f(T), optionally reusing a precomputed power list [I, T, T^2, ...]."""
+def eval_poly_at_matrix(f: Poly, T: Matrix) -> Matrix:
+    """f(T) as a matrix, by Horner's rule (one product per coefficient).
+
+    Callers that need only f(T) v for a vector v apply it by Horner on
+    vectors instead (see `canonical`), which costs matrix-vector rather
+    than matrix products.
+    """
     T.field.require_same(f.field)
     F = T.field
     n = T.nrows
     acc = Matrix.zeros(F, n, n)
-    if powers is None:
-        # Horner form
-        for c in reversed(f.coeffs):
-            acc = acc * T if not acc.is_zero() else acc
-            acc = acc + Matrix.identity(F, n).scale(c)
-        return acc
-    for i, c in enumerate(f.coeffs):
-        if not F.is_zero(c):
-            acc = acc + powers[i].scale(c)
+    for c in reversed(f.coeffs):
+        acc = acc * T if not acc.is_zero() else acc
+        acc = acc + Matrix.identity(F, n).scale(c)
     return acc
-
-
-def matrix_powers(T: Matrix, up_to: int):
-    """[I, T, ..., T^up_to]."""
-    out = [Matrix.identity(T.field, T.nrows)]
-    for _ in range(up_to):
-        out.append(out[-1] * T)
-    return out
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:

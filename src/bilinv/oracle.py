@@ -30,7 +30,7 @@ EXHAUSTIVE_SCALARS = (0, 1, -1, 2)
 DEFAULT_TRIALS = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class InvariantFormSpace:
     """Solution space of the (in)finitesimal invariance equations
     intersected with the symmetric or skew coordinate subspace."""

@@ -327,7 +327,7 @@ def invert_mod(f: Poly, mod: Poly) -> Poly:
 
 # --- factorization -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """unit * prod(p_i ** e_i) reconstructs the input exactly."""
 

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from bilinv.canonical import (elementary_divisors, divisor_multiset,
+from bilinv.canonical import (ModuleStructure, _char_matrix,
+                              elementary_divisors, divisor_multiset,
                               indecomposable_decomposition, invariant_factors,
-                              jordan_chevalley, min_poly)
+                              jordan_chevalley, min_poly, smith_normal_form)
 from bilinv.errors import SmallCharacteristic
-from bilinv.fields import PrimeField, QQ
+from bilinv.fields import PrimeField, QQ, RationalField
 from bilinv.linalg import Matrix, char_poly, eval_poly_at_matrix
 from bilinv.poly import Poly, dual_poly, factor
 
@@ -47,6 +49,92 @@ def test_invariant_factors_divide_and_multiply_to_char_poly():
                 assert (fac[i + 1] % fac[i]).is_zero()
                 prod = prod * fac[i]
             assert prod * fac[-1] == char_poly(T)
+
+
+def _rand_matrix(field, n, rng):
+    if isinstance(field, RationalField):
+        return Matrix(field, [[Fraction(rng.randrange(-3, 4),
+                                        rng.randrange(1, 4))
+                               for _ in range(n)] for _ in range(n)])
+    return Matrix(field, [[rng.randrange(field.p) for _ in range(n)]
+                          for _ in range(n)])
+
+
+def _assert_field_scalars(field, polys):
+    for f in polys:
+        for c in f.coeffs:
+            if isinstance(field, RationalField):
+                assert type(c) is Fraction
+            else:
+                assert type(c) is int and 0 <= c < field.p
+        assert not f.coeffs or not field.is_zero(f.coeffs[-1])
+
+
+def _check_smith(T):
+    F = T.field
+    diag, pinv = smith_normal_form(_char_matrix(T), track=True)
+    assert len(diag) == len(pinv) == T.nrows
+    _assert_field_scalars(F, diag)
+    _assert_field_scalars(F, [e for row in pinv for e in row])
+    prod = Poly.one(F)
+    for i, d in enumerate(diag):
+        assert d.is_monic()
+        if i:
+            assert (d % diag[i - 1]).is_zero()
+        prod = prod * d
+    assert prod == char_poly(T)
+    assert smith_normal_form(_char_matrix(T))[0] == diag
+    # runs the rank and invariance asserts of the summand construction
+    assert sum(s.dim for s in ModuleStructure(T).summands) == T.nrows
+    return diag, pinv
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), F101, QQ],
+                         ids=str)
+def test_smith_kernel_seeded(field):
+    rng = random.Random(73)
+    for _ in range(12):
+        n = rng.randrange(1, 9)
+        T = _rand_matrix(field, n, rng)
+        if rng.random() < 0.5:
+            # repeated blocks exercise nontrivial invariant factors
+            half = _rand_matrix(field, n // 2 + 1, rng)
+            T = Matrix.block_diagonal(field, [half, half])
+        _check_smith(T)
+
+
+def test_smith_kernel_named_cases():
+    for F in (QQ, F101):
+        empty = Matrix(F, [])
+        assert smith_normal_form(_char_matrix(empty), track=True) == ([], [])
+        assert smith_normal_form(_char_matrix(empty)) == ([], None)
+        assert ModuleStructure(empty).summands == []
+        diag, pinv = _check_smith(Matrix(F, [[5]]))
+        assert diag == [Poly.x_minus(F, 5)] and pinv == [[Poly.one(F)]]
+    F3 = PrimeField(3)
+    for T, root in ((Matrix.zeros(F3, 3, 3), 0),
+                    (Matrix.identity(F101, 3).scale(2), 2)):
+        diag, pinv = _check_smith(T)
+        F = T.field
+        assert diag == [Poly.x_minus(F, root)] * 3
+        assert pinv == [[Poly.one(F) if i == j else Poly.zero(F)
+                         for j in range(3)] for i in range(3)]
+    # x - 1 does not divide x - 2, so the tracked form has to add the
+    # culprit row into the pivot row before it reaches diag(1, (x-1)(x-2))
+    diag, pinv = _check_smith(Matrix.diagonal(QQ, [1, 2]))
+    assert [d.to_str() for d in diag] == ["1", "x^2 - 3*x + 2"]
+    assert [[e.to_str() for e in row] for row in pinv] == \
+        [["-x + 1", "-1"], ["x - 2", "1"]]
+
+
+def test_empty_matrix_structure():
+    for F in (QQ, F101):
+        empty = Matrix(F, [])
+        assert invariant_factors(empty) == []
+        assert min_poly(empty) == Poly.one(F) == char_poly(empty)
+        for mode in ("multiplicative", "additive"):
+            jc = jordan_chevalley(empty, mode)
+            assert jc.semisimple == empty == jc.unipotent_or_nilpotent
 
 
 def test_min_poly_examples():

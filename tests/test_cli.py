@@ -164,3 +164,17 @@ def test_selftest_parallel_matches_serial(capsys):
     code = run(["selftest", "--seed", "13", "--count", "8", "--jobs", "2"])
     parallel = capsys.readouterr().out
     assert code == 0 and serial == parallel
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    import bilinv.cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("generator not annihilated")
+    monkeypatch.setattr(bilinv.cli, "decide_invariant_form", broken)
+    path = write_instance(tmp_path, "j2.json", "Q", J2)
+    code, out = run_json(capsys, ["decide", path, "--symmetry", "skew"])
+    assert code == 4
+    assert out["error"] == {"kind": "InternalError",
+                            "detail": "AssertionError: generator not "
+                                      "annihilated"}

@@ -1,0 +1,136 @@
+"""Golden outputs: sha256 digests of the canonical JSON of the tracked
+Smith form of xI - T (diagonal and inverse row transform) and of the
+constructed certificate, on seeded instances over F_101, F_257 and Q.
+
+The digests pin the exact output, not just its correctness: a kernel
+rewrite that keeps the pivot order, the row and column operations and
+the final scaling reproduces them byte for byte.  A change that alters
+outputs on purpose must update the digests and say why.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from bilinv.canonical import _char_matrix, smith_normal_form
+from bilinv.certificates import SKEW, SYMMETRIC
+from bilinv.construction import (construct_infinitesimal_form,
+                                 construct_invariant_form)
+from bilinv.fields import PrimeField, QQ
+from bilinv.linalg import Matrix
+from bilinv.poly import Poly
+
+
+def _blocks(field, spec):
+    """Block-diagonal matrix from ("J", lam, k) Jordan blocks and
+    ("C", "poly text") companion blocks."""
+    blocks = []
+    for kind, *args in spec:
+        if kind == "J":
+            blocks.append(Matrix.jordan_block(field, *args))
+        else:
+            blocks.append(Matrix.companion(Poly.parse(field, args[0])))
+    return Matrix.block_diagonal(field, blocks)
+
+
+def _conjugate(field, T0, seed):
+    rng = random.Random(seed)
+    n = T0.nrows
+    while True:
+        if isinstance(field, PrimeField):
+            g = Matrix(field, [[rng.randrange(field.p) for _ in range(n)]
+                               for _ in range(n)])
+        else:
+            g = Matrix(field, [[Fraction(rng.randrange(-3, 4),
+                                         rng.randrange(1, 4))
+                                for _ in range(n)] for _ in range(n)])
+        if not field.is_zero(g.det()):
+            return g * T0 * g.inverse()
+
+
+# name -> (field, blocks, seed, construct function, symmetry)
+INSTANCES = {
+    "fp101-invariant-symmetric": (
+        PrimeField(101),
+        [("J", 1, 3), ("J", -1, 1), ("C", "x^2-3*x+1"), ("J", 2, 1),
+         ("J", 51, 1)],
+        11, construct_invariant_form, SYMMETRIC),
+    "fp257-invariant-skew": (
+        PrimeField(257),
+        [("J", 1, 2), ("J", -1, 2), ("C", "x^2+1"), ("J", 3, 1),
+         ("J", 86, 1)],
+        12, construct_invariant_form, SKEW),
+    "fp257-invariant-symmetric-repeated": (
+        PrimeField(257),
+        [("J", 1, 1), ("J", 1, 1), ("J", 1, 3), ("C", "x^2+x+1")],
+        13, construct_invariant_form, SYMMETRIC),
+    "fp101-infinitesimal-skew": (
+        PrimeField(101),
+        [("J", 0, 2), ("J", 5, 1), ("J", -5, 1), ("C", "x^2+1")],
+        14, construct_infinitesimal_form, SKEW),
+    "q-invariant-symmetric": (
+        QQ,
+        [("J", 1, 3), ("C", "x^2-3*x+1"), ("J", 2, 1), ("J", "1/2", 1)],
+        15, construct_invariant_form, SYMMETRIC),
+    "q-infinitesimal-symmetric": (
+        QQ,
+        [("J", 0, 3), ("J", 2, 1), ("J", -2, 1)],
+        16, construct_infinitesimal_form, SYMMETRIC),
+}
+
+# sha256 of (smith JSON, certificate JSON), computed before the Smith
+# form moved to raw coefficient lists
+GOLDEN = {
+    "fp101-infinitesimal-skew": (
+        "06f577fa4bf748601467a71754d182957da06586d3f3accd4deb16038841a6e5",
+        "97edbdbd1d37cc070360a801c488f8353f12a1383f6e7de157cd6a4c3acc5ddc"),
+    "fp101-invariant-symmetric": (
+        "673582d3d2d6b6bfd77e8705534ca263c197721a493474a8c6946b447e5c7363",
+        "5bc65b056ae756438b8566161a1fea38a6ca48e53f562f2d7fb3e4dfbde5f317"),
+    "fp257-invariant-skew": (
+        "e6c9162587377886430174d780c7f6d29abb34d36389b84476e28c1524cd37dd",
+        "b81baeef121e50355cd3418f33d36c87e5e09f399fc54fa5af0c0c18eecf04dc"),
+    "fp257-invariant-symmetric-repeated": (
+        "eaa21b425bfa54bc336764784acd71c90b6435bbd7b0ed46c2534328d53650e3",
+        "0ca4873546e87286c3d02d48929ff39f8a6e8485b75c2c3c79f2e00b6362d2a5"),
+    "q-infinitesimal-symmetric": (
+        "39fb8d55cd7f4edb6af7ffb666b0e6935bc543ee428673697259070efe2e2a86",
+        "0df4aba2de6de08a14635963dcea415435c5942513b3a40ee939c1dc02a557db"),
+    "q-invariant-symmetric": (
+        "d1acf2eff4272a462a714c5a0655cc76d8e02ad29124ec909267243e77e4ef53",
+        "6eef0ab018110afeb22a4b06194a75a9ee92331b8c8d1ba19526bbad4274c0b7"),
+}
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _smith_json(field, T):
+    diag, pinv = smith_normal_form(_char_matrix(T), track=True)
+
+    def poly(f):
+        return [field.to_str(c) for c in f.coeffs]
+    return {"diag": [poly(d) for d in diag],
+            "pinv": [[poly(e) for e in row] for row in pinv]}
+
+
+def golden_digests(name):
+    field, spec, seed, construct, symmetry = INSTANCES[name]
+    T = _conjugate(field, _blocks(field, spec), seed)
+    return (_digest(_smith_json(field, T)),
+            _digest(construct(T, symmetry).to_json()))
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_golden_outputs(name):
+    assert golden_digests(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(INSTANCES):
+        print(f"    {name!r}: {golden_digests(name)!r},")

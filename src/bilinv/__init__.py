@@ -5,17 +5,17 @@ orthogonal decomposition under unipotent isometries, and level bounds.
 """
 
 from .canonical import (ElementaryDivisor, IndecomposableSummand,
-                        JordanChevalley, ModuleStructure, elementary_divisors,
+                        ModuleStructure, elementary_divisors,
                         indecomposable_decomposition, invariant_factors,
-                        jordan_chevalley, min_poly, smith_normal_form)
+                        min_poly, smith_normal_form)
 from .certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
                            FormCertificate, make_certificate, symmetry_of,
                            verify_gram)
-from .construction import (QuotientRingContext, construct_infinitesimal_form,
+from .construction import (construct_infinitesimal_form,
                            construct_invariant_form, convert_symmetry,
                            hyperbolic_pairing, nilpotent_block_form,
                            self_dual_block_form, skew_symmetric_converter,
-                           trace_norm_form, unipotent_block_form)
+                           unipotent_block_form)
 from .decision import (DecisionReport, ObstructionRecord, RealityReport,
                        decide_infinitesimal_form, decide_invariant_form,
                        decide_real)

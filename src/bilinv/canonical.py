@@ -1,7 +1,6 @@
 """Module structure of a linear map: invariant factors, elementary
-divisors, indecomposable summands with explicit bases, the duality
-rules that read form existence off the divisors, and the
-semisimple/unipotent (or nilpotent) splitting.
+divisors, indecomposable summands with explicit bases, and the duality
+rules that read form existence off the divisors.
 
 Everything is driven by one kernel: the Smith normal form of xI - T over
 F[x], computed with partial pivoting on lowest-degree entries.  The
@@ -38,10 +37,10 @@ from functools import cached_property
 from typing import Callable
 
 from .certificates import INFINITESIMAL, INVARIANT, SYMMETRIC
-from .errors import NotSquare, Singular, SmallCharacteristic
-from .linalg import Matrix, eval_poly_at_matrix, restriction
+from .errors import NotSquare
+from .linalg import Matrix, restriction
 from .poly import (DEFAULT_DEGREE_LIMIT, Poly, additive_dual_poly, dual_poly,
-                   factor, invert_mod, poly_gcd)
+                   factor)
 
 
 # --- Smith normal form over F[x] -------------------------------------------
@@ -131,6 +130,7 @@ def smith_normal_form(A, track: bool = False):
                     Ps[a] = _axpy(Ps[a], q, Pd[a], p, zero)
 
     for t in range(n):
+        older = last = None       # pivot lengths of the last two passes
         while True:
             # lowest-degree nonzero pivot in the trailing block
             best = None
@@ -142,6 +142,12 @@ def smith_normal_form(A, track: bool = False):
                         best = (len(e), i, j)
             if best is None:
                 break
+            # a pass that is not clean leaves a remainder shorter than its
+            # pivot, and a culprit fix-up is followed by such a pass, so the
+            # pivot shrinks at least once every two passes
+            assert older is None or best[0] < older, \
+                "Smith pivot loop made no progress in two passes"
+            older, last = last, best[0]
             _, bi, bj = best
             if bi != t:
                 M[t], M[bi] = M[bi], M[t]
@@ -285,25 +291,21 @@ def _poly_apply(f: Poly, T: Matrix, v):
     return _krylov_sum(T, [tuple(F.mul(c, x) for x in v) for c in f.coeffs])
 
 
+def krylov_basis(T: Matrix, v, r: int) -> Matrix:
+    """Columns v, Tv, ..., T^(r-1) v."""
+    cols = [v]
+    for _ in range(r - 1):
+        cols.append(T.apply(cols[-1]))
+    return Matrix.from_cols(T.field, cols)
+
+
 def _summand_basis(T: Matrix, p: Poly, k: int, v):
-    F = T.field
-    r = p.degree * k
     special = DUALITY[INVARIANT].special_factor(p)
     if special is not None:
-        lam = special[0]             # p = x - lam with lam = +-1
-        ident = Matrix.identity(F, T.nrows)
-        N = T - ident if lam == 1 else T + ident
-        cols = [v]
-        for i in range(1, r):
-            cols.append(N.apply(cols[-1]))
-        if lam != 1:
-            cols = [tuple(F.neg(c) for c in col) if i % 2 else col
-                    for i, col in enumerate(cols)]
-        return Matrix.from_cols(F, cols)
-    cols = [v]
-    for i in range(1, r):
-        cols.append(T.apply(cols[-1]))
-    return Matrix.from_cols(F, cols)
+        # p = x - lam with lam = +-1: the chain of lam T - I, which for
+        # lam = -1 is the signed chain of T + I
+        T = T.scale(special[0]) - Matrix.identity(T.field, T.nrows)
+    return krylov_basis(T, v, p.degree * k)
 
 
 class ModuleStructure:
@@ -470,57 +472,3 @@ DUALITY = {
         BAD_NILPOTENT_PARITY, UNPAIRED_ADDITIVE_DUAL,
         "additive dual multiplicity {dual_multiplicity} != {multiplicity}"),
 }
-
-
-# --- semisimple / unipotent splitting ----------------------------------------
-
-@dataclass(slots=True)
-class JordanChevalley:
-    """Commuting exact splitting of a map into semisimple and unipotent
-    (multiplicative) or semisimple and nilpotent (additive) parts."""
-
-    semisimple: Matrix
-    unipotent_or_nilpotent: Matrix
-    mode: str  # "multiplicative" | "additive"
-
-
-def jordan_chevalley(T: Matrix, mode: str = "multiplicative") -> JordanChevalley:
-    """Newton iteration on the squarefree part of the minimal polynomial.
-
-    Large characteristic keeps the squarefree part separable, which the
-    iteration needs; the computed parts are polynomials in T, hence the
-    splitting commutes with everything commuting with T.
-    """
-    if mode not in ("multiplicative", "additive"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not T.is_square:
-        raise NotSquare("Jordan-Chevalley of a non-square matrix")
-    F = T.field
-    n = T.nrows
-    if not F.char_exceeds(n):
-        raise SmallCharacteristic(
-            f"need characteristic 0 or > {n}, have {F.characteristic}")
-    m = min_poly(T)
-    rad = m // poly_gcd(m, m.derivative())
-    z = Poly.x(F) % m if m.degree > 1 else Poly.x(F)
-    steps = 0
-    while not (rad.compose(z) % m).is_zero():
-        u = invert_mod(rad.derivative().compose(z) % m, m)
-        z = (z - (rad.compose(z) % m) * u) % m
-        steps += 1
-        assert steps <= n + 1, "Newton iteration failed to converge"
-    Ts = eval_poly_at_matrix(z, T)
-    if mode == "additive":
-        part = T - Ts
-        assert (part ** n).is_zero(), "additive part not nilpotent"
-    else:
-        if F.is_zero(m.constant_term()):
-            raise Singular("multiplicative splitting needs an invertible map")
-        part = Ts.inverse() * T
-        ident = Matrix.identity(F, n)
-        assert ((part - ident) ** n).is_zero(), "quotient not unipotent"
-    assert Ts * part == part * Ts
-    ms = min_poly(Ts)
-    assert poly_gcd(ms, ms.derivative()).is_one(), \
-        "semisimple part has a repeated factor"
-    return JordanChevalley(Ts, part, mode)

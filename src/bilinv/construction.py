@@ -2,29 +2,31 @@
 
 The construction follows the indecomposable decomposition of the map,
 read from the same `ModuleStructure` the decision used, and the
-duality rule of its setting (`canonical.DUALITY`).
-Each summand class has a dedicated block witness:
+duality rule of its setting (`canonical.DUALITY`).  A cyclic summand
+with divisor f = p^k and cyclic vector v is the ring F[x]/(f), with
+x^i <-> T^i v.  Off the special factors, one functional builds every
+block: lambda0, the coefficient of x^(N-1) (N = deg f), which is nonzero
+on the simple socle of F[x]/(f).  With sigma the involution x -> 1/x
+(invariant setting) or x -> -x (infinitesimal setting):
 
-  * (x -+ 1)^k with the right parity: the anti-triangular unipotent
-    block form, pinned to an alternating anti-diagonal;
-  * x^k (infinitesimal setting): the alternating anti-diagonal;
-  * a self-dual irreducible power p(x)^d: a Kronecker product K (x) b,
-    where b is the trace form of the quadratic subring construction on
-    F[x]/(p) (verified, with an equation-solving fallback when the
-    textbook reading of the trace form degenerates) and K is the scalar
-    unipotent (or nilpotent) block pattern of size d;
-  * everything else pairs with its dual partner through an invertible
-    intertwiner, giving a two-block hyperbolic Gram that vanishes on
-    each summand.
+  * (x -+ 1)^k or x^k with the natural parity: the anti-triangular
+    unipotent block form, or the alternating anti-diagonal, on the chain
+    basis;
+  * a self-dual p^d: B(a, b) = lambda_k(a sigma(b)) in the power basis,
+    where lambda_k(a) = lambda0(x^k a) + eps lambda0(x^k sigma(a)) for
+    the first k < N that makes B non-degenerate (route "trace-form");
+  * a divisor and its dual partner, or two equal copies of a special
+    factor with the other parity: the two-block hyperbolic Gram whose
+    cross block is lambda0(a iota(b)) on the two power bases, iota the
+    ring isomorphism x -> 1/x (or x -> -x) from the partner's ring
+    (routes "hyperbolic-pair" and "standard-pair").
 
-Every block is verified exactly right after it is built; any failure
-falls back to solving the invariance equations on that block and
-searching the solution space for a non-degenerate element.  The
-assembled global Gram is verified once more by the independent checker
-before a certificate is issued.
+Each block has the requested symmetry as built: nothing is searched for
+and nothing is converted.  The assembled global Gram is verified by the
+independent checker before a certificate is issued.
 """
 
-from .canonical import (IndecomposableSummand, jordan_chevalley,
+from .canonical import (DUALITY, IndecomposableSummand, krylov_basis,
                         natural_parity_ok)
 from .certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
                            FormCertificate, make_certificate, symmetry_of,
@@ -34,14 +36,8 @@ from .errors import (DecisionFalse, EigenvalueObstruction, NotDualPair,
                      NotSelfDual, ParityViolation, Singular,
                      SmallCharacteristic, UnverifiedForm)
 from .fields import Field
-from .linalg import Matrix, kron, restriction
-from .oracle import InvariantFormSpace, find_nondegenerate, solve_form_space
-from .poly import (DEFAULT_DEGREE_LIMIT, Poly, is_additively_self_dual,
-                   is_self_dual, pow_mod, substitute_x_plus_inverse,
-                   substitute_x_squared)
-
-FALLBACK_SEED = 0
-FALLBACK_TRIALS = 128
+from .linalg import Matrix
+from .poly import DEFAULT_DEGREE_LIMIT, Poly
 
 
 # --- scalar block patterns ---------------------------------------------------
@@ -134,106 +130,78 @@ def nilpotent_block_form(field: Field, k: int, symmetry: str) -> Matrix:
     return Matrix(F, rows, coerce=False)
 
 
-# --- quadratic subring trace forms -------------------------------------------
+# --- the socle functional --------------------------------------------------------
 
-class QuotientRingContext:
-    """The ring E = F[x]/(p) for a self-dual irreducible p of degree 2m,
-    its involution (x -> 1/x multiplicatively, x -> -x additively), and
-    the fixed subring E_1 = F[y]/(q).
+def _socle_values(f: Poly, setting: str) -> dict:
+    """s(e) = lambda0(x^e), the x^(N-1) coefficient of x^e mod f with
+    N = deg f, for e from -(N-1) (invariant) or 0 (infinitesimal) to
+    3N-3: the recurrence sum_t f_t s(e + t) = 0 from s(0..N-1) = 0, ...,
+    0, 1.  Stepping down divides by f(0), nonzero for an invertible map."""
+    F = f.field
+    c = f.coeffs
+    N = f.degree
+    s = {e: F.zero for e in range(N - 1)}
+    s[N - 1] = F.one
+    for e in range(N, 3 * N - 2):
+        s[e] = F.neg(F.dot(c[:N], [s[e - N + t] for t in range(N)]))
+    if setting == INVARIANT:
+        inv0 = F.inv(c[0])
+        for e in range(-1, -N, -1):
+            s[e] = F.neg(F.mul(inv0, F.dot(c[1:], [s[e + t]
+                                                   for t in range(1, N + 1)])))
+    return s
+
+
+def _sigma(F: Field, setting: str, m: int):
+    """The involution x -> 1/x (invariant) or x -> -x (infinitesimal) on
+    x^m, as (c, e) with sigma(x^m) = c x^e."""
+    if setting == INVARIANT:
+        return F.one, -m
+    return (F.one if m % 2 == 0 else F.neg(F.one)), m
+
+
+def _functional_gram(F: Field, setting: str, N: int, lam) -> Matrix:
+    """The Gram [lam(x^i sigma(x^j))] for i, j < N of a functional lam
+    given on the powers x^m."""
+    sig = [_sigma(F, setting, j) for j in range(N)]
+    return Matrix(F, [[F.mul(c, lam(i + e)) for c, e in sig]
+                      for i in range(N)], coerce=False)
+
+
+def self_dual_block_form(p: Poly, d: int, symmetry: str,
+                         setting: str = INVARIANT) -> Matrix:
+    """Witness of the requested symmetry on F[x]/(p^d) for a self-dual
+    (additively self-dual, infinitesimally) irreducible p, as a Gram in
+    the power basis x^i: the standard basis of the companion of p^d.
+
+    B(a, b) = lambda_k(a sigma(b)) with lambda_k(a) = lambda0(x^k a) +
+    eps lambda0(x^k sigma(a)), eps = 1 (symmetric) or -1 (skew), for the
+    first k < N = deg p^d whose Gram is non-degenerate.  Each lambda_k
+    has lambda_k o sigma = eps lambda_k, so B is invariant and
+    eps-symmetric as built, and the lambda_k span every such functional:
+    when no k works, no form of this symmetry exists on the block
+    (UnverifiedForm).
     """
-
-    def __init__(self, p: Poly, d: int, additive: bool = False):
-        F = p.field
-        if p.degree % 2 != 0 or p.degree < 2:
-            raise NotSelfDual(f"{p.to_str()} has no quadratic subring split")
-        if not F.char_exceeds(p.degree * max(d, 1)):
-            raise SmallCharacteristic(
-                f"separability needs characteristic 0 or > {p.degree * d}")
-        if additive:
-            if not is_additively_self_dual(p):
-                raise NotSelfDual(f"{p.to_str()} is not additively self-dual")
-            self.q = substitute_x_squared(p)
-        else:
-            if not is_self_dual(p):
-                raise NotSelfDual(f"{p.to_str()} is not self-dual")
-            self.q = substitute_x_plus_inverse(p)
-        self.p = p
-        self.d = d
-        self.additive = additive
-        self.field = F
-        m = p.degree // 2
-        self.m = m
-        if additive:
-            sigma_x = Poly(F, (F.zero, F.neg(F.one)))
-        else:
-            # 1/x in E, from p(x) = 0 and p(0) = 1
-            sigma_x = Poly(F, [F.neg(c) for c in p.coeffs[1:]])
-        cols = []
-        for i in range(p.degree):
-            cols.append(pow_mod(sigma_x, i, p))
-        self.sigma = Matrix.from_cols(
-            F, [tuple(c.coeff(t) for t in range(p.degree)) for c in cols])
-        ident = Matrix.identity(F, p.degree)
-        assert self.sigma * self.sigma == ident, "involution check failed"
-        fixed_dim = p.degree - (self.sigma - ident).rank()
-        assert fixed_dim == m, "fixed subring has the wrong dimension"
-
-
-def _mult_trace(ctx: QuotientRingContext, g: Poly):
-    """Trace of multiplication by g on E = F[x]/(p), power basis."""
-    F = ctx.field
-    deg = ctx.p.degree
-    acc = F.zero
-    for i in range(deg):
-        col = g * Poly(F, (F.zero,) * i + (F.one,)) % ctx.p
-        acc = F.add(acc, col.coeff(i))
-    return acc
-
-
-def trace_norm_form(ctx: QuotientRingContext):
-    """Gram matrix of B(a, b) = Tr_{E1/F}(n(a,1) n(b,1)) in the power
-    basis, where n is the polarized norm form of E over E_1 and
-    n(a,1) = (a + sigma(a))/2.
-
-    The matrix is verified against multiplication by x (invariantly or
-    infinitesimally, matching the context); when the check fails -- the
-    literal reading does degenerate for some inputs -- the block is
-    rebuilt by solving the invariance equations and searching the
-    solution space, and the route is reported accordingly.
-    """
-    F = ctx.field
-    deg = ctx.p.degree
-    half = F.inv(F.add(F.one, F.one))
-    sig_cols = ctx.sigma.cols()
-    n1 = []
-    for i in range(deg):
-        vec = [F.zero] * deg
-        vec[i] = F.one
-        n1.append(Poly(F, [F.mul(half, F.add(a, b))
-                           for a, b in zip(vec, sig_cols[i])]))
-    rows = [[F.zero] * deg for _ in range(deg)]
-    for i in range(deg):
-        for j in range(i, deg):
-            val = F.mul(half, _mult_trace(ctx, n1[i] * n1[j] % ctx.p))
-            rows[i][j] = val
-            rows[j][i] = val
-    B = Matrix(F, rows, coerce=False)
-    C = Matrix.companion(ctx.p)
-    setting = INFINITESIMAL if ctx.additive else INVARIANT
-    if all(verify_gram(C, B, SYMMETRIC, setting).values()):
-        return B, "trace-form"
-    B = _oracle_block(C, SYMMETRIC, setting)
-    return B, "trace-form-fallback"
-
-
-def _oracle_block(M: Matrix, symmetry: str, setting: str) -> Matrix:
-    space = solve_form_space(M, symmetry, setting)
-    B = find_nondegenerate(space, seed=FALLBACK_SEED, trials=FALLBACK_TRIALS)
-    if B is None:
-        raise UnverifiedForm(
-            f"no non-degenerate {symmetry} witness found on a block "
-            f"(space dimension {space.dimension})")
-    return B
+    F = p.field
+    if not DUALITY[setting].is_self_dual(p):
+        raise NotSelfDual(f"{p.to_str()} is not self-dual in the {setting} "
+                          f"setting")
+    f = p ** d
+    N = f.degree
+    if not F.char_exceeds(N):
+        raise SmallCharacteristic(
+            f"need characteristic 0 or > {N}, have {F.characteristic}")
+    s = _socle_values(f, setting)
+    eps = F.one if symmetry == SYMMETRIC else F.neg(F.one)
+    for k in range(N):
+        def lam(m, k=k):
+            c, e = _sigma(F, setting, m)
+            return F.add(s[k + m], F.mul(eps, F.mul(c, s[k + e])))
+        G = _functional_gram(F, setting, N, lam)
+        if not F.is_zero(G.det()):
+            return G
+    raise UnverifiedForm(f"no non-degenerate {symmetry} form on "
+                         f"({p.to_str()})^{d}")
 
 
 # --- symmetry converter --------------------------------------------------------
@@ -280,135 +248,32 @@ def skew_symmetric_converter(M: Matrix, B: Matrix,
 
 # --- pairing of dual partners ---------------------------------------------------
 
-def _intertwiner_space(Ta: Matrix, Tb: Matrix, setting: str):
-    """Basis of {X : Ta^t X Tb = X} (invariant) or {X : Sa^t X + X Sb = 0}."""
-    F = Ta.field
-    r = Ta.nrows
-    Tat = Ta.transpose()
-    basis = []
-    images = []
-    for i in range(r):
-        for j in range(r):
-            E = [[F.zero] * r for _ in range(r)]
-            E[i][j] = F.one
-            Em = Matrix(F, E, coerce=False)
-            basis.append(Em)
-            if setting == INVARIANT:
-                images.append(Tat * Em * Tb - Em)
-            else:
-                images.append(Tat * Em + Em * Tb)
-    eq_rows = [[img.rows[a][b] for img in images]
-               for a in range(r) for b in range(r)]
-    kernel = Matrix(F, eq_rows, coerce=False).kernel_basis()
-    out = []
-    for vec in kernel:
-        rows = [[vec[i * r + j] for j in range(r)] for i in range(r)]
-        out.append(Matrix(F, rows, coerce=False))
-    return out
-
-
-def pairing_block(Ta: Matrix, Tb: Matrix, setting: str = INVARIANT) -> Matrix:
-    """An invertible intertwiner realizing the dual pairing of two
-    summands (restrictions Ta, Tb of the map); NotDualPair if none."""
-    basis = _intertwiner_space(Ta, Tb, setting)
-    if basis:
-        space = InvariantFormSpace(basis, "pairing", setting)
-        X = find_nondegenerate(space, seed=FALLBACK_SEED,
-                               trials=FALLBACK_TRIALS)
-        if X is not None:
-            return X
-    raise NotDualPair("no invertible intertwiner: summands are not dual")
-
-
 def hyperbolic_pairing(M: Matrix, a: IndecomposableSummand,
                        b: IndecomposableSummand, symmetry: str,
                        setting: str = INVARIANT):
     """Standard two-block Gram on the span of two dual (or equal-copy)
     summands: zero on each summand, non-degenerate across.
 
+    With f = p^k the divisor of a and the partner's ring identified with
+    F[x]/(f) by iota: x -> 1/x (or x -> -x), the cross block on the power
+    bases is X_ij = lambda0(x^i iota(x^j)).  It is invertible because
+    lambda0 is nonzero on the simple socle of F[x]/(f).
+
     Returns (columns, gram) with columns = [basis_a | basis_b].
     """
     F = M.field
-    Ta = restriction(M, a.basis)
-    Tb = restriction(M, b.basis)
-    X = pairing_block(Ta, Tb, setting)
-    r = Ta.nrows
+    if b.k != a.k or b.p != DUALITY[setting].dual(a.p):
+        raise NotDualPair(f"({b.p.to_str()})^{b.k} is not the dual partner "
+                          f"of ({a.p.to_str()})^{a.k}")
+    N = a.dim
+    s = _socle_values(a.p ** a.k, setting)
+    X = _functional_gram(F, setting, N, s.__getitem__)
     sgn = F.one if symmetry == SYMMETRIC else F.neg(F.one)
-    rows = [[F.zero] * (2 * r) for _ in range(2 * r)]
-    for i in range(r):
-        for j in range(r):
-            rows[i][r + j] = X.rows[i][j]
-            rows[r + j][i] = F.mul(sgn, X.rows[i][j])
-    return a.basis.hstack(b.basis), Matrix(F, rows, coerce=False)
-
-
-# --- self-dual prime-power blocks ------------------------------------------------
-
-def _refined_basis(M: Matrix, summand: IndecomposableSummand, setting: str):
-    """Basis N^j Ts^i v of the summand, on which the map splits as
-    semisimple block-diagonal times the unit block shift."""
-    F = M.field
-    Tloc = restriction(M, summand.basis)
-    r = Tloc.nrows
-    mode = "multiplicative" if setting == INVARIANT else "additive"
-    jc = jordan_chevalley(Tloc, mode)
-    Ts = jc.semisimple
-    if setting == INVARIANT:
-        N = jc.unipotent_or_nilpotent - Matrix.identity(F, r)
-    else:
-        N = jc.unipotent_or_nilpotent
-    deg = summand.p.degree
-    cols = []
-    v = tuple(F.one if t == 0 else F.zero for t in range(r))
-    block = [v]
-    for _ in range(deg - 1):
-        block.append(Ts.apply(block[-1]))
-    for _ in range(summand.k):
-        cols.extend(block)
-        block = [N.apply(u) for u in block]
-    C_loc = Matrix.from_cols(F, cols)
-    return summand.basis * C_loc
-
-
-def _self_dual_block(M: Matrix, summand: IndecomposableSummand,
-                     symmetry: str, setting: str):
-    """Witness on one self-dual p^d summand: columns, Gram, route."""
-    F = M.field
-    p, d = summand.p, summand.k
-    ctx = QuotientRingContext(p, d, additive=(setting == INFINITESIMAL))
-    b, route = trace_norm_form(ctx)
-    natural = SYMMETRIC if d % 2 == 1 else SKEW
-    if setting == INVARIANT:
-        K = unipotent_block_form(F, d, natural)
-    else:
-        K = nilpotent_block_form(F, d, natural)
-    cols = _refined_basis(M, summand, setting)
-    gram = kron(K, b)
-    Tref = restriction(M, cols)
-    if not all(verify_gram(Tref, gram, natural, setting).values()):
-        # fall back to solving the block outright, in the power basis
-        cols = summand.basis
-        gram = _oracle_block(restriction(M, cols), natural, setting)
-        route = "block-oracle"
-    if natural != symmetry:
-        Tref = restriction(M, cols)
-        gram = convert_symmetry(Tref, gram, setting)
-        route += "+converter"
-    return cols, gram, route
-
-
-def self_dual_block_form(p: Poly, d: int, symmetry: str,
-                         setting: str = INVARIANT) -> Matrix:
-    """Standalone witness on F[x]/(p^d) for self-dual irreducible p,
-    expressed in the power basis of the companion block."""
-    M = Matrix.companion(p ** d)
-    F = p.field
-    summand = IndecomposableSummand(
-        p, d, 0, Matrix.identity(F, M.nrows),
-        tuple(F.one if t == 0 else F.zero for t in range(M.nrows)))
-    cols, gram, _ = _self_dual_block(M, summand, symmetry, setting)
-    inv = cols.inverse()
-    return inv.transpose() * gram * inv
+    zeros = [F.zero] * N
+    rows = ([zeros + list(row) for row in X.rows]
+            + [[F.mul(sgn, x) for x in col] + zeros for col in X.cols()])
+    cols = [krylov_basis(M, c.cyclic_vector, N) for c in (a, b)]
+    return cols[0].hstack(cols[1]), Matrix(F, rows, coerce=False)
 
 
 # --- assembly over the full decomposition -----------------------------------------
@@ -438,43 +303,42 @@ def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
         p, k = copies[0].p, copies[0].k
         label = f"({p.to_str()})^{k}" if k > 1 else f"({p.to_str()})"
         special = rule.special_factor(p)
-        if special is not None:
-            if natural_parity_ok(k, symmetry):
-                if setting == INVARIANT:
-                    K = unipotent_block_form(F, k, symmetry, lam=special[0])
-                    route = "unipotent-block"
-                else:
-                    K = nilpotent_block_form(F, k, symmetry)
-                    route = "nilpotent-block"
-                for s in copies:
-                    blocks.append((s.basis, K))
-                    provenance.append(f"{label}#{s.copy_index}:{route}")
+        if special is not None and natural_parity_ok(k, symmetry):
+            if setting == INVARIANT:
+                K = unipotent_block_form(F, k, symmetry, lam=special[0])
+                route = "unipotent-block"
             else:
-                assert len(copies) % 2 == 0, \
-                    "odd multiplicity survived a positive decision"
-                for a, b in zip(copies[0::2], copies[1::2]):
-                    cols, gram = hyperbolic_pairing(M, a, b, symmetry, setting)
-                    blocks.append((cols, gram))
-                    provenance.append(
-                        f"{label}#{a.copy_index}+#{b.copy_index}:standard-pair")
-            continue
-        if rule.is_self_dual(p):
+                K = nilpotent_block_form(F, k, symmetry)
+                route = "nilpotent-block"
             for s in copies:
-                cols, gram, route = _self_dual_block(M, s, symmetry, setting)
-                blocks.append((cols, gram))
+                blocks.append((s.basis, K))
                 provenance.append(f"{label}#{s.copy_index}:{route}")
             continue
-        partner_key = (rule.dual(p).coeffs, k)
-        partner = groups.get(partner_key)
-        if partner is None or len(partner) != len(copies):
-            raise NotDualPair(
-                f"divisor {label} lacks a dual partner at equal multiplicity")
-        consumed.add(partner_key)
-        for a, b in zip(copies, partner):
-            cols, gram = hyperbolic_pairing(M, a, b, symmetry, setting)
-            blocks.append((cols, gram))
+        if special is None and rule.is_self_dual(p):
+            gram = self_dual_block_form(p, k, symmetry, setting)
+            for s in copies:
+                blocks.append((krylov_basis(M, s.cyclic_vector, s.dim),
+                               gram))
+                provenance.append(f"{label}#{s.copy_index}:trace-form")
+            continue
+        if special is not None:
+            assert len(copies) % 2 == 0, \
+                "odd multiplicity survived a positive decision"
+            pairs = zip(copies[0::2], copies[1::2])
+            link, route = "+#", "standard-pair"
+        else:
+            partner_key = (rule.dual(p).coeffs, k)
+            partner = groups.get(partner_key)
+            if partner is None or len(partner) != len(copies):
+                raise NotDualPair(f"divisor {label} lacks a dual partner at "
+                                  f"equal multiplicity")
+            consumed.add(partner_key)
+            pairs = zip(copies, partner)
+            link, route = "<->dual#", "hyperbolic-pair"
+        for a, b in pairs:
+            blocks.append(hyperbolic_pairing(M, a, b, symmetry, setting))
             provenance.append(
-                f"{label}#{a.copy_index}<->dual#{b.copy_index}:hyperbolic-pair")
+                f"{label}#{a.copy_index}{link}{b.copy_index}:{route}")
     C = blocks[0][0]
     for cols, _ in blocks[1:]:
         C = C.hstack(cols)

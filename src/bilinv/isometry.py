@@ -31,7 +31,6 @@ from .errors import (Degenerate, NotSquare, NotUnipotent, NotUnipotentType,
                      RationalsUnsupported, SmallCharacteristic, UnverifiedForm)
 from .fields import PrimeField, sqrt_mod
 from .linalg import Matrix
-from .poly import Poly
 
 ODD_INDECOMPOSABLE = "OddIndecomposable"
 EVEN_INDECOMPOSABLE = "EvenIndecomposable"
@@ -85,14 +84,15 @@ class OrthogonalSummandReport:
 
 
 def _unipotent_sign(T: Matrix):
-    """+1 / -1 when min poly of T is (x - 1)^k / (x + 1)^k, else None."""
-    from .canonical import min_poly
-    F = T.field
-    m = min_poly(T)
-    for sign in (1, -1):
-        target = Poly.x_minus(F, F.coerce(sign)) ** m.degree
-        if m == target:
-            return sign
+    """+1 / -1 when T - I / T + I is nilpotent (the minimal polynomial is
+    (x - 1)^k / (x + 1)^k), else None."""
+    ident = Matrix.identity(T.field, T.nrows)
+    for sign, N in ((1, T - ident), (-1, T + ident)):
+        try:
+            _nilpotency_level(N)
+        except NotUnipotent:
+            continue
+        return sign
     return None
 
 

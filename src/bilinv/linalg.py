@@ -458,21 +458,6 @@ def eval_poly_at_matrix(f: Poly, T: Matrix) -> Matrix:
     return acc
 
 
-def kron(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product (A slow index, B fast index)."""
-    A._check(B)
-    F = A.field
-    rows = []
-    for i in range(A.nrows):
-        for k in range(B.nrows):
-            row = []
-            for j in range(A.ncols):
-                a = A.rows[i][j]
-                row.extend(F.mul(a, b) for b in B.rows[k])
-            rows.append(row)
-    return Matrix(F, rows, coerce=False)
-
-
 def restriction(T: Matrix, basis_cols: Matrix) -> Matrix:
     """Matrix of T on the invariant subspace spanned by the given columns.
 

@@ -5,18 +5,18 @@ import pytest
 
 from bilinv.certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
                                  make_certificate, verify_gram)
-from bilinv.construction import (QuotientRingContext,
-                                 construct_infinitesimal_form,
+from bilinv.construction import (construct_infinitesimal_form,
                                  construct_invariant_form, convert_symmetry,
                                  hyperbolic_pairing, nilpotent_block_form,
                                  self_dual_block_form, skew_symmetric_converter,
-                                 trace_norm_form, unipotent_block_form)
-from bilinv.canonical import indecomposable_decomposition
+                                 unipotent_block_form)
+from bilinv.canonical import DUALITY, indecomposable_decomposition
 from bilinv.errors import (DecisionFalse, EigenvalueObstruction,
-                           ParityViolation, UnverifiedForm)
+                           NotDualPair, NotSelfDual, ParityViolation,
+                           SmallCharacteristic, UnverifiedForm)
 from bilinv.fields import PrimeField, QQ
 from bilinv.linalg import Matrix
-from bilinv.poly import Poly
+from bilinv.poly import Poly, factor
 
 F101 = PrimeField(101)
 
@@ -76,29 +76,26 @@ def test_nilpotent_block_form():
         assert all(verify_gram(N, K, symmetry, INFINITESIMAL).values())
 
 
-def test_trace_norm_form_cases():
-    # the literal product reading degenerates here; the fallback must
-    # land on the identity: companion(x^2+1) is orthogonal
-    ctx = QuotientRingContext(Poly.parse(QQ, "x^2+1"), 1)
-    b, route = trace_norm_form(ctx)
-    assert b == Matrix.identity(QQ, 2)
-    assert route == "trace-form-fallback"
-    for text in ("x^2-3*x+1", "x^4+x^3+x^2+x+1"):
-        p = Poly.parse(QQ, text)
-        ctx = QuotientRingContext(p, 1)
-        b, route = trace_norm_form(ctx)
-        C = Matrix.companion(p)
-        assert all(verify_gram(C, b, SYMMETRIC, INVARIANT).values())
+FIELDS = {"Q": QQ, "F_101": F101, "F_7": PrimeField(7)}
 
 
-def test_quotient_ring_context_invariants():
-    for text in ("x^2-3*x+1", "x^4+x^3+x^2+x+1", "x^4+1"):
-        p = Poly.parse(QQ, text)
-        ctx = QuotientRingContext(p, 1)
-        assert ctx.q.degree == p.degree // 2
-        assert ctx.sigma * ctx.sigma == Matrix.identity(QQ, p.degree)
-    ctx = QuotientRingContext(Poly.parse(QQ, "x^2+1"), 1, additive=True)
-    assert ctx.q == Poly.parse(QQ, "x+1")
+@pytest.mark.parametrize("field_name, text, setting", [
+    ("Q", "x^2+1", INVARIANT), ("Q", "x^2-3*x+1", INVARIANT),
+    ("Q", "x^4+x^3+x^2+x+1", INVARIANT), ("F_101", "x^2+x+1", INVARIANT),
+    ("F_7", "x^2+1", INVARIANT), ("Q", "x^2+1", INFINITESIMAL),
+    ("Q", "x^2+2", INFINITESIMAL), ("F_101", "x^2+2", INFINITESIMAL),
+    ("F_7", "x^2+2", INFINITESIMAL)])
+def test_self_dual_block_form_verifies(field_name, text, setting):
+    field = FIELDS[field_name]
+    p = Poly.parse(field, text)
+    assert list(factor(p)) == [(p, 1)] and DUALITY[setting].is_self_dual(p)
+    for d in (1, 2, 3):
+        if not field.char_exceeds(p.degree * d):
+            continue
+        C = Matrix.companion(p ** d)
+        for symmetry in (SYMMETRIC, SKEW):
+            B = self_dual_block_form(p, d, symmetry, setting)
+            assert all(verify_gram(C, B, symmetry, setting).values())
 
 
 def test_self_dual_block_form_cases():
@@ -112,6 +109,16 @@ def test_self_dual_block_form_cases():
     T = Matrix.companion(p ** 3)
     B = self_dual_block_form(p, 3, SYMMETRIC)
     assert all(verify_gram(T, B, SYMMETRIC, INVARIANT).values())
+    with pytest.raises(NotSelfDual):
+        self_dual_block_form(Poly.parse(QQ, "x^2+x+3"), 1, SYMMETRIC)
+    with pytest.raises(NotSelfDual):
+        self_dual_block_form(Poly.parse(QQ, "x^2+x+1"), 1, SKEW,
+                             INFINITESIMAL)
+    with pytest.raises(SmallCharacteristic):
+        self_dual_block_form(Poly.parse(PrimeField(5), "x^2+x+1"), 3, SKEW)
+    # the unipotent factor has a form only of its natural parity
+    with pytest.raises(UnverifiedForm):
+        self_dual_block_form(Poly.parse(QQ, "x-1"), 2, SYMMETRIC)
 
 
 def test_hyperbolic_pairing_examples():
@@ -124,6 +131,9 @@ def test_hyperbolic_pairing_examples():
     cols, gram = hyperbolic_pairing(T, a, b, SKEW)
     B = inv.transpose() * gram * inv
     assert B == Matrix(QQ, [[0, 1], [-1, 0]])
+    a, b = indecomposable_decomposition(Matrix.diagonal(QQ, [2, 3]))
+    with pytest.raises(NotDualPair):
+        hyperbolic_pairing(T, a, b, SYMMETRIC)
 
 
 def test_hyperbolic_pairing_equal_copies():

@@ -81,8 +81,11 @@ INSTANCES = {
         16, construct_infinitesimal_form, SYMMETRIC),
 }
 
-# sha256 of (smith JSON, certificate JSON), computed before the Smith
-# form moved to raw coefficient lists
+# sha256 of (smith JSON, certificate JSON).  The Smith digests were
+# computed before the Smith form moved to raw coefficient lists.  The
+# certificates of the two instances with a self-dual block (x^2+x+1 over
+# F_257, x^2-3x+1 over Q) were recomputed when those blocks moved to the
+# closed-form functional; the other four were unchanged by that move.
 GOLDEN = {
     "fp101-infinitesimal-skew": (
         "06f577fa4bf748601467a71754d182957da06586d3f3accd4deb16038841a6e5",
@@ -95,13 +98,13 @@ GOLDEN = {
         "b81baeef121e50355cd3418f33d36c87e5e09f399fc54fa5af0c0c18eecf04dc"),
     "fp257-invariant-symmetric-repeated": (
         "eaa21b425bfa54bc336764784acd71c90b6435bbd7b0ed46c2534328d53650e3",
-        "0ca4873546e87286c3d02d48929ff39f8a6e8485b75c2c3c79f2e00b6362d2a5"),
+        "c25ad2f6b7978370dc27175e4674254bce6d77149cdd4abf0cef6b708dc121bf"),
     "q-infinitesimal-symmetric": (
         "39fb8d55cd7f4edb6af7ffb666b0e6935bc543ee428673697259070efe2e2a86",
         "0df4aba2de6de08a14635963dcea415435c5942513b3a40ee939c1dc02a557db"),
     "q-invariant-symmetric": (
         "d1acf2eff4272a462a714c5a0655cc76d8e02ad29124ec909267243e77e4ef53",
-        "6eef0ab018110afeb22a4b06194a75a9ee92331b8c8d1ba19526bbad4274c0b7"),
+        "283b1fafa684d69e2fd314fdafe2664724f48b3cc6fcf4f6d245b79d49695e4d"),
 }
 
 

@@ -13,9 +13,8 @@ from .certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
                            verify_gram)
 from .construction import (construct_infinitesimal_form,
                            construct_invariant_form, convert_symmetry,
-                           hyperbolic_pairing, nilpotent_block_form,
-                           self_dual_block_form, skew_symmetric_converter,
-                           unipotent_block_form)
+                           hyperbolic_pairing, self_dual_block_form,
+                           skew_symmetric_converter, unipotent_block_form)
 from .decision import (DecisionReport, ObstructionRecord, RealityReport,
                        decide_infinitesimal_form, decide_invariant_form,
                        decide_real)

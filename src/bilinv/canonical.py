@@ -21,19 +21,14 @@ sum_k T^k u_k, u_k the x^k coefficients of transform column i, by
 Horner on vectors; so are the annihilation check and the cofactor
 projections, so the decomposition costs matrix-vector products only.
 
-Basis convention inside a summand with divisor p^k and generator v:
-
-  * p = x - 1:  v, (T-I)v, ..., (T-I)^{deg-1} v          (chain basis)
-  * p = x + 1:  v, -(T+I)v, (T+I)^2 v, ...               (signed chain)
-  * otherwise:  v, Tv, T^2 v, ...                        (power basis)
-
-so the restriction of T is the lower unit bidiagonal block (respectively
-its negative, respectively the companion block) that the form
-constructions assume.
+Every summand, whatever its divisor p^k, has one kind of basis: the
+powers v, Tv, ..., T^(N-1) v of its generator v, N = deg p^k.  On it T
+acts as the companion matrix of p^k, the ring F[x]/(p^k) in its basis
+of powers of x, which is what every form construction reads.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 from .certificates import INFINITESIMAL, INVARIANT, SYMMETRIC
@@ -264,8 +259,7 @@ class IndecomposableSummand:
     p: Poly
     k: int
     copy_index: int
-    basis: Matrix          # n x (deg p * k) columns in the ambient basis
-    cyclic_vector: tuple
+    basis: Matrix          # columns v, Tv, ..., T^(deg p * k - 1) v
 
     @property
     def dim(self) -> int:
@@ -297,15 +291,6 @@ def krylov_basis(T: Matrix, v, r: int) -> Matrix:
     for _ in range(r - 1):
         cols.append(T.apply(cols[-1]))
     return Matrix.from_cols(T.field, cols)
-
-
-def _summand_basis(T: Matrix, p: Poly, k: int, v):
-    special = DUALITY[INVARIANT].special_factor(p)
-    if special is not None:
-        # p = x - lam with lam = +-1: the chain of lam T - I, which for
-        # lam = -1 is the signed chain of T + I
-        T = T.scale(special[0]) - Matrix.identity(T.field, T.nrows)
-    return krylov_basis(T, v, p.degree * k)
 
 
 class ModuleStructure:
@@ -380,8 +365,8 @@ class ModuleStructure:
                 "generator not annihilated by its invariant factor"
             for p, k in fac:
                 w = _poly_apply(d // p ** k, T, gen)
-                basis = _summand_basis(T, p, k, w)
-                summands.append(IndecomposableSummand(p, k, 0, basis, w))
+                summands.append(IndecomposableSummand(
+                    p, k, 0, krylov_basis(T, w, p.degree * k)))
         summands.sort(key=lambda s: (s.p.degree, s.p.coeffs, s.k))
         counters: dict = {}
         for s in summands:
@@ -389,9 +374,7 @@ class ModuleStructure:
             s.copy_index = counters.get(key, 0)
             counters[key] = s.copy_index + 1
         if summands:
-            whole = summands[0].basis
-            for s in summands[1:]:
-                whole = whole.hstack(s.basis)
+            whole = reduce(Matrix.hstack, [s.basis for s in summands])
             assert whole.ncols == n and whole.rank() == n, \
                 "summand bases do not assemble to a basis"
             for s in summands:

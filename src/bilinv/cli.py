@@ -32,7 +32,7 @@ from .corpus import DEFAULT_FIELDS, corpus
 from .decision import (decide_infinitesimal_form, decide_invariant_form,
                        decide_real)
 from .errors import (CAPABILITY_ERRORS, BilinvError, InputError,
-                     UnverifiedForm)
+                     SmallCharacteristic, UnverifiedForm)
 from .fields import PrimeField, QQ, is_prime
 from .isometry import level_analysis, orthogonal_decomposition
 from .linalg import Matrix
@@ -171,7 +171,15 @@ def _cmd_level(args) -> int:
     return 0
 
 
+def _check_at_least(args, **bounds):
+    for name, low in bounds.items():
+        if getattr(args, name) < low:
+            raise InputError(f"--{name.replace('_', '-')} must be at least "
+                             f"{low}, got {getattr(args, name)}")
+
+
 def _cmd_oracle(args) -> int:
+    _check_at_least(args, trials=0)
     field, M, _ = load_instance(args.instance)
     space = solve_form_space(M, args.symmetry, args.setting)
     witness = find_nondegenerate(space, seed=args.seed, trials=args.trials)
@@ -213,7 +221,17 @@ def _selftest_worker(payload):
 
 
 def _cmd_selftest(args) -> int:
-    primes = tuple(int(p) for p in args.fields.split(","))
+    _check_at_least(args, count=1, max_dim=1, jobs=1, trials=0)
+    try:
+        primes = tuple(_parse_field({"Fp": int(p)}).p
+                       for p in args.fields.split(","))
+    except ValueError as exc:
+        raise InputError(f"--fields must list primes: {exc}") from exc
+    # decisions need p > n, and the corpus's dual pairs need a scalar
+    # outside {0, 1, -1} that is not its own inverse, so p >= 5
+    if min(primes) <= max(4, args.max_dim):
+        raise SmallCharacteristic(f"selftest needs every prime above 4 and "
+                                  f"above --max-dim {args.max_dim}")
     half = args.count // 2
     pools = (("invariant", args.seed, args.count - half),
              ("infinitesimal", args.seed + 1, half))

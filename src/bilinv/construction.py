@@ -3,28 +3,29 @@
 The construction follows the indecomposable decomposition of the map,
 read from the same `ModuleStructure` the decision used, and the
 duality rule of its setting (`canonical.DUALITY`).  A cyclic summand
-with divisor f = p^k and cyclic vector v is the ring F[x]/(f), with
-x^i <-> T^i v.  Off the special factors, one functional builds every
-block: lambda0, the coefficient of x^(N-1) (N = deg f), which is nonzero
-on the simple socle of F[x]/(f).  With sigma the involution x -> 1/x
-(invariant setting) or x -> -x (infinitesimal setting):
+with divisor f = p^k is the ring F[x]/(f) in its power basis, x^i <->
+T^i v.  One functional builds every block: lambda0, the coefficient of
+x^(N-1) (N = deg f), which is nonzero on the simple socle of F[x]/(f).
+With sigma the involution x -> 1/x (invariant setting) or x -> -x
+(infinitesimal setting):
 
-  * (x -+ 1)^k or x^k with the natural parity: the anti-triangular
-    unipotent block form, or the alternating anti-diagonal, on the chain
-    basis;
-  * a self-dual p^d: B(a, b) = lambda_k(a sigma(b)) in the power basis,
-    where lambda_k(a) = lambda0(x^k a) + eps lambda0(x^k sigma(a)) for
-    the first k < N that makes B non-degenerate (route "trace-form");
+  * a self-dual p^k, including the special factors x -+ 1 and x with
+    the natural exponent parity: B(a, b) = lambda_j(a sigma(b)), where
+    lambda_j is lambda0(x^j .) made eps-hermitian, for the first j < N
+    that makes B non-degenerate (routes "unipotent-block",
+    "nilpotent-block" and "trace-form");
   * a divisor and its dual partner, or two equal copies of a special
     factor with the other parity: the two-block hyperbolic Gram whose
     cross block is lambda0(a iota(b)) on the two power bases, iota the
     ring isomorphism x -> 1/x (or x -> -x) from the partner's ring
     (routes "hyperbolic-pair" and "standard-pair").
 
-Each block has the requested symmetry as built: nothing is searched for
-and nothing is converted.  The assembled global Gram is verified by the
+Each block has the requested symmetry as built: nothing is searched for,
+solved for or converted.  The assembled global Gram is verified by the
 independent checker before a certificate is issued.
 """
+
+from functools import reduce
 
 from .canonical import (DUALITY, IndecomposableSummand, krylov_basis,
                         natural_parity_ok)
@@ -38,96 +39,6 @@ from .errors import (DecisionFalse, EigenvalueObstruction, NotDualPair,
 from .fields import Field
 from .linalg import Matrix
 from .poly import DEFAULT_DEGREE_LIMIT, Poly
-
-
-# --- scalar block patterns ---------------------------------------------------
-
-def unipotent_block_form(field: Field, k: int, symmetry: str,
-                         lam: int = 1) -> Matrix:
-    """Anti-triangular K with U^t K U = K for the lower unit bidiagonal
-    unipotent U of size k (the chain-basis shape of a (x - lam)^k block).
-
-    The anti-diagonal is pinned to 1, -1, 1, ..., the free corner to 0,
-    everything else is forced by the invariance recurrence; the result
-    has determinant +-1.  Symmetric needs k odd, skew k even.  The Gram
-    is the same for lam = 1 and lam = -1 (signs cancel in pairs), so lam
-    only participates in the parity error message.
-    """
-    if lam not in (1, -1):
-        raise ValueError("lam must be +1 or -1")
-    if not natural_parity_ok(k, symmetry):
-        raise ParityViolation(
-            f"no non-degenerate {symmetry} form on an indecomposable "
-            f"(x {'-' if lam == 1 else '+'} 1)^{k} block")
-    F = field
-    nunk = k * k
-    rows, rhs = [], []
-
-    def unknown(i, j):
-        return i * k + j
-
-    U = [[F.zero] * k for _ in range(k)]
-    for i in range(k):
-        U[i][i] = F.one
-        if i + 1 < k:
-            U[i + 1][i] = F.one
-    for a in range(k):
-        for b in range(k):
-            row = [F.zero] * nunk
-            for i in (a, a + 1):
-                if i >= k or F.is_zero(U[i][a]):
-                    continue
-                for j in (b, b + 1):
-                    if j >= k or F.is_zero(U[j][b]):
-                        continue
-                    row[unknown(i, j)] = F.add(row[unknown(i, j)],
-                                               F.mul(U[i][a], U[j][b]))
-            row[unknown(a, b)] = F.sub(row[unknown(a, b)], F.one)
-            rows.append(row)
-            rhs.append(F.zero)
-    sgn = F.one if symmetry == SYMMETRIC else F.neg(F.one)
-    for i in range(k):
-        for j in range(i, k):
-            if i == j and symmetry == SYMMETRIC:
-                continue
-            row = [F.zero] * nunk
-            row[unknown(i, j)] = F.one
-            row[unknown(j, i)] = F.sub(row[unknown(j, i)], sgn)
-            rows.append(row)
-            rhs.append(F.zero)
-    for i in range(k):
-        row = [F.zero] * nunk
-        row[unknown(i, k - 1 - i)] = F.one
-        rows.append(row)
-        rhs.append(F.one if i % 2 == 0 else F.neg(F.one))
-    if k > 1:
-        row = [F.zero] * nunk
-        row[unknown(0, 0)] = F.one
-        rows.append(row)
-        rhs.append(F.zero)
-    sol = Matrix(F, rows, coerce=False).solve_right(
-        Matrix(F, [[c] for c in rhs], coerce=False))
-    vec = sol.col(0)
-    K = Matrix(F, [[vec[unknown(i, j)] for j in range(k)] for i in range(k)],
-               coerce=False)
-    Umat = Matrix(F, U, coerce=False)
-    assert Umat.transpose() * K * Umat == K
-    assert not F.is_zero(K.det())
-    return K
-
-
-def nilpotent_block_form(field: Field, k: int, symmetry: str) -> Matrix:
-    """Alternating anti-diagonal K with N^t K + K N = 0 for the lower
-    shift N of size k.  Symmetric needs k odd, skew k even."""
-    if not natural_parity_ok(k, symmetry):
-        raise ParityViolation(
-            f"no non-degenerate {symmetry} form on an indecomposable "
-            f"nilpotent block of size {k}")
-    F = field
-    rows = [[F.zero] * k for _ in range(k)]
-    for i in range(k):
-        rows[i][k - 1 - i] = F.one if i % 2 == 0 else F.neg(F.one)
-    return Matrix(F, rows, coerce=False)
 
 
 # --- the socle functional --------------------------------------------------------
@@ -174,13 +85,16 @@ def self_dual_block_form(p: Poly, d: int, symmetry: str,
     (additively self-dual, infinitesimally) irreducible p, as a Gram in
     the power basis x^i: the standard basis of the companion of p^d.
 
-    B(a, b) = lambda_k(a sigma(b)) with lambda_k(a) = lambda0(x^k a) +
-    eps lambda0(x^k sigma(a)), eps = 1 (symmetric) or -1 (skew), for the
-    first k < N = deg p^d whose Gram is non-degenerate.  Each lambda_k
-    has lambda_k o sigma = eps lambda_k, so B is invariant and
+    B(a, b) = lambda_k(a sigma(b)) for the first k < N = deg p^d whose
+    Gram is non-degenerate, lambda_k being lambda0(x^k .) made
+    eps-hermitian, eps = 1 (symmetric) or -1 (skew).  As sigma is an
+    involutive ring automorphism, the Gram is H + eps H^t with
+    H = [lambda0(x^(k+i) sigma(x^j))], or H itself when H = eps H^t
+    already (needed in characteristic 2, where H + H^t = 0).  Each
+    lambda_k has lambda_k o sigma = eps lambda_k, so B is invariant and
     eps-symmetric as built, and the lambda_k span every such functional:
-    when no k works, no form of this symmetry exists on the block
-    (UnverifiedForm).
+    when no k works (for x -+ 1 or x: the wrong exponent parity), no
+    form of this symmetry exists on the block (UnverifiedForm).
     """
     F = p.field
     if not DUALITY[setting].is_self_dual(p):
@@ -194,14 +108,35 @@ def self_dual_block_form(p: Poly, d: int, symmetry: str,
     s = _socle_values(f, setting)
     eps = F.one if symmetry == SYMMETRIC else F.neg(F.one)
     for k in range(N):
-        def lam(m, k=k):
-            c, e = _sigma(F, setting, m)
-            return F.add(s[k + m], F.mul(eps, F.mul(c, s[k + e])))
-        G = _functional_gram(F, setting, N, lam)
+        G = _functional_gram(F, setting, N, lambda m: s[k + m])
+        flipped = G.transpose().scale(eps)
+        if G != flipped:
+            G = G + flipped
         if not F.is_zero(G.det()):
             return G
     raise UnverifiedForm(f"no non-degenerate {symmetry} form on "
                          f"({p.to_str()})^{d}")
+
+
+def unipotent_block_form(field: Field, k: int, symmetry: str,
+                         lam: int = 1) -> Matrix:
+    """Gram K with U^t K U = K for the lower unit bidiagonal unipotent U
+    of size k, the chain-basis shape of a (x - lam)^k block: the
+    `self_dual_block_form` of (x - 1)^k moved from the power basis to the
+    chain basis (C - I)^i e_0, C the companion of (x - 1)^k, on which C
+    acts as U.  Symmetric needs k odd, skew k even.  -U has the same
+    invariant forms, so lam only names the factor in the parity error.
+    """
+    if lam not in (1, -1):
+        raise ValueError("lam must be +1 or -1")
+    if not natural_parity_ok(k, symmetry):
+        raise ParityViolation(
+            f"no non-degenerate {symmetry} form on an indecomposable "
+            f"(x {'-' if lam == 1 else '+'} 1)^{k} block")
+    p = Poly.parse(field, "x - 1")
+    eye = Matrix.identity(field, k)
+    P = krylov_basis(Matrix.companion(p ** k) - eye, eye.col(0), k)
+    return P.transpose() * self_dual_block_form(p, k, symmetry) * P
 
 
 # --- symmetry converter --------------------------------------------------------
@@ -272,8 +207,7 @@ def hyperbolic_pairing(M: Matrix, a: IndecomposableSummand,
     zeros = [F.zero] * N
     rows = ([zeros + list(row) for row in X.rows]
             + [[F.mul(sgn, x) for x in col] + zeros for col in X.cols()])
-    cols = [krylov_basis(M, c.cyclic_vector, N) for c in (a, b)]
-    return cols[0].hstack(cols[1]), Matrix(F, rows, coerce=False)
+    return a.basis.hstack(b.basis), Matrix(F, rows, coerce=False)
 
 
 # --- assembly over the full decomposition -----------------------------------------
@@ -285,17 +219,12 @@ def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
     F = M.field
     setting = rule.setting
     groups: dict = {}
-    order = []
     for s in structure.summands:
-        key = s.divisor_key()
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(s)
+        groups.setdefault(s.divisor_key(), []).append(s)
     blocks = []
     provenance = []
     consumed = set()
-    for key in order:
+    for key in groups:
         if key in consumed:
             continue
         consumed.add(key)
@@ -303,23 +232,15 @@ def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
         p, k = copies[0].p, copies[0].k
         label = f"({p.to_str()})^{k}" if k > 1 else f"({p.to_str()})"
         special = rule.special_factor(p)
-        if special is not None and natural_parity_ok(k, symmetry):
-            if setting == INVARIANT:
-                K = unipotent_block_form(F, k, symmetry, lam=special[0])
-                route = "unipotent-block"
-            else:
-                K = nilpotent_block_form(F, k, symmetry)
-                route = "nilpotent-block"
-            for s in copies:
-                blocks.append((s.basis, K))
-                provenance.append(f"{label}#{s.copy_index}:{route}")
-            continue
-        if special is None and rule.is_self_dual(p):
+        if (natural_parity_ok(k, symmetry) if special is not None
+                else rule.is_self_dual(p)):
             gram = self_dual_block_form(p, k, symmetry, setting)
+            route = ("trace-form" if special is None
+                     else "unipotent-block" if setting == INVARIANT
+                     else "nilpotent-block")
             for s in copies:
-                blocks.append((krylov_basis(M, s.cyclic_vector, s.dim),
-                               gram))
-                provenance.append(f"{label}#{s.copy_index}:trace-form")
+                blocks.append((s.basis, gram))
+                provenance.append(f"{label}#{s.copy_index}:{route}")
             continue
         if special is not None:
             assert len(copies) % 2 == 0, \
@@ -339,9 +260,7 @@ def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
             blocks.append(hyperbolic_pairing(M, a, b, symmetry, setting))
             provenance.append(
                 f"{label}#{a.copy_index}{link}{b.copy_index}:{route}")
-    C = blocks[0][0]
-    for cols, _ in blocks[1:]:
-        C = C.hstack(cols)
+    C = reduce(Matrix.hstack, [cols for cols, _ in blocks])
     B_union = Matrix.block_diagonal(F, [gram for _, gram in blocks])
     Cinv = C.inverse()
     B = Cinv.transpose() * B_union * Cinv

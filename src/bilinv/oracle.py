@@ -85,14 +85,7 @@ def solve_form_space(M: Matrix, symmetry: str,
     kernel = system.kernel_basis() if coords else []
     basis = []
     for vec in kernel:
-        rows = [[F.zero] * n for _ in range(n)]
-        for c, C in zip(vec, coords):
-            if F.is_zero(c):
-                continue
-            for i in range(n):
-                for j in range(n):
-                    rows[i][j] = F.add(rows[i][j], F.mul(c, C.rows[i][j]))
-        B = Matrix(F, rows, coerce=False)
+        B = _combine(F, coords, vec)
         if setting == INVARIANT:
             assert Mt * B * M == B
         else:

@@ -224,15 +224,6 @@ def test_inverse_divisors_are_duals():
             assert divisor_multiset(elementary_divisors(T.inverse())) == duals
 
 
-def expected_local_block(field, p, k):
-    if p.degree == 1 and p.coeff(0) in (field.one, field.neg(field.one)):
-        U = Matrix(field, [[field.one if i in (j, j + 1) else field.zero
-                            for j in range(k)] for i in range(k)],
-                   coerce=False)
-        return U if p.coeff(0) == field.neg(field.one) else -U
-    return Matrix.companion(p ** k)
-
-
 def test_indecomposable_examples():
     s = indecomposable_decomposition(Matrix(QQ, [[1, 1], [0, 1]]))
     assert [(x.p.to_str(), x.k) for x in s] == [("x - 1", 2)]
@@ -260,6 +251,7 @@ def test_reassembly_to_block_form():
         for s in summands[1:]:
             C = C.hstack(s.basis)
         assembled = C.inverse() * T * C
+        # every summand is in its power basis: T acts as a companion block
         expected = Matrix.block_diagonal(
-            QQ, [expected_local_block(QQ, s.p, s.k) for s in summands])
+            QQ, [Matrix.companion(s.p ** s.k) for s in summands])
         assert assembled == expected

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bilinv.cli import run
 
 
@@ -164,6 +166,32 @@ def test_selftest_parallel_matches_serial(capsys):
     code = run(["selftest", "--seed", "13", "--count", "8", "--jobs", "2"])
     parallel = capsys.readouterr().out
     assert code == 0 and serial == parallel
+
+
+SELFTEST = ["selftest", "--seed", "1"]
+
+
+# each bad value is rejected before any instance is generated or read,
+# with a detail that names it
+@pytest.mark.parametrize("argv, code, kind, detail", [
+    (SELFTEST + ["--fields", "4"], 2, "InputError", "modulus 4"),
+    (SELFTEST + ["--fields", "x"], 2, "InputError", "--fields"),
+    (SELFTEST + ["--fields", "101,"], 2, "InputError", "--fields"),
+    (SELFTEST + ["--max-dim", "0"], 2, "InputError", "--max-dim"),
+    (SELFTEST + ["--count", "-3"], 2, "InputError", "--count"),
+    (SELFTEST + ["--count", "0"], 2, "InputError", "--count"),
+    (SELFTEST + ["--jobs", "0"], 2, "InputError", "--jobs"),
+    (SELFTEST + ["--trials", "-2"], 2, "InputError", "--trials"),
+    (["oracle", "missing.json", "--symmetry", "skew", "--seed", "5",
+      "--trials", "-1"], 2, "InputError", "--trials"),
+    (SELFTEST + ["--fields", "3"], 3, "SmallCharacteristic", "--max-dim 6"),
+    (SELFTEST + ["--fields", "101,7", "--max-dim", "7"], 3,
+     "SmallCharacteristic", "--max-dim 7"),
+])
+def test_bad_option_values(capsys, argv, code, kind, detail):
+    got, out = run_json(capsys, argv)
+    assert got == code and out["error"]["kind"] == kind
+    assert detail in out["error"]["detail"]
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):

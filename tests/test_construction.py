@@ -7,10 +7,10 @@ from bilinv.certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
                                  make_certificate, verify_gram)
 from bilinv.construction import (construct_infinitesimal_form,
                                  construct_invariant_form, convert_symmetry,
-                                 hyperbolic_pairing, nilpotent_block_form,
-                                 self_dual_block_form, skew_symmetric_converter,
-                                 unipotent_block_form)
-from bilinv.canonical import DUALITY, indecomposable_decomposition
+                                 hyperbolic_pairing, self_dual_block_form,
+                                 skew_symmetric_converter, unipotent_block_form)
+from bilinv.canonical import (DUALITY, indecomposable_decomposition,
+                              natural_parity_ok)
 from bilinv.errors import (DecisionFalse, EigenvalueObstruction,
                            NotDualPair, NotSelfDual, ParityViolation,
                            SmallCharacteristic, UnverifiedForm)
@@ -41,11 +41,9 @@ def unipotent_chain_block(field, k):
 
 def test_unipotent_block_form_examples():
     K = unipotent_block_form(QQ, 3, SYMMETRIC)
-    assert K == Matrix(QQ, [["0", "1/2", "1"],
-                            ["1/2", "-1", "0"],
-                            ["1", "0", "0"]])
-    assert K.det() == 1
-    assert unipotent_block_form(QQ, 2, SKEW) == Matrix(QQ, [[0, 1], [-1, 0]])
+    assert K == Matrix(QQ, [[0, 1, 2], [1, -2, 0], [2, 0, 0]])
+    assert K.det() == 8
+    assert unipotent_block_form(QQ, 2, SKEW) == Matrix(QQ, [[0, -1], [1, 0]])
     with pytest.raises(ParityViolation):
         unipotent_block_form(QQ, 2, SYMMETRIC)
     with pytest.raises(ParityViolation):
@@ -62,21 +60,10 @@ def test_unipotent_block_form_invariance_all_sizes():
             assert all(verify_gram(-U, K, symmetry, INVARIANT).values())
 
 
-def test_nilpotent_block_form():
-    assert nilpotent_block_form(QQ, 2, SKEW) == Matrix(QQ, [[0, 1], [-1, 0]])
-    assert nilpotent_block_form(QQ, 3, SYMMETRIC) == \
-        Matrix(QQ, [[0, 0, 1], [0, -1, 0], [1, 0, 0]])
-    with pytest.raises(ParityViolation):
-        nilpotent_block_form(QQ, 4, SYMMETRIC)
-    for k in range(1, 7):
-        symmetry = SYMMETRIC if k % 2 else SKEW
-        K = nilpotent_block_form(QQ, k, symmetry)
-        N = Matrix(QQ, [[1 if i == j + 1 else 0 for j in range(k)]
-                        for i in range(k)])
-        assert all(verify_gram(N, K, symmetry, INFINITESIMAL).values())
-
-
 FIELDS = {"Q": QQ, "F_101": F101, "F_7": PrimeField(7)}
+
+
+SPECIAL = {INVARIANT: ("x-1", "x+1"), INFINITESIMAL: ("x",)}
 
 
 @pytest.mark.parametrize("field_name, text, setting", [
@@ -84,16 +71,24 @@ FIELDS = {"Q": QQ, "F_101": F101, "F_7": PrimeField(7)}
     ("Q", "x^4+x^3+x^2+x+1", INVARIANT), ("F_101", "x^2+x+1", INVARIANT),
     ("F_7", "x^2+1", INVARIANT), ("Q", "x^2+1", INFINITESIMAL),
     ("Q", "x^2+2", INFINITESIMAL), ("F_101", "x^2+2", INFINITESIMAL),
-    ("F_7", "x^2+2", INFINITESIMAL)])
+    ("F_7", "x^2+2", INFINITESIMAL)] + [
+    (field_name, text, setting) for field_name in FIELDS
+    for setting, texts in SPECIAL.items() for text in texts])
 def test_self_dual_block_form_verifies(field_name, text, setting):
     field = FIELDS[field_name]
     p = Poly.parse(field, text)
     assert list(factor(p)) == [(p, 1)] and DUALITY[setting].is_self_dual(p)
-    for d in (1, 2, 3):
+    special = DUALITY[setting].special_factor(p) is not None
+    for d in range(1, 6 if special else 4):
         if not field.char_exceeds(p.degree * d):
             continue
         C = Matrix.companion(p ** d)
         for symmetry in (SYMMETRIC, SKEW):
+            if special and not natural_parity_ok(d, symmetry):
+                # (x -+ 1)^d and x^d carry only their natural parity
+                with pytest.raises(UnverifiedForm):
+                    self_dual_block_form(p, d, symmetry, setting)
+                continue
             B = self_dual_block_form(p, d, symmetry, setting)
             assert all(verify_gram(C, B, symmetry, setting).values())
 
@@ -178,6 +173,14 @@ def test_construct_examples():
     assert any("standard-pair" in s for s in cert.provenance)
     with pytest.raises(DecisionFalse):
         construct_invariant_form(Matrix.jordan_block(QQ, 1, 2), SYMMETRIC)
+    # in characteristic 2, H + H^t vanishes; the block is H itself
+    F2 = PrimeField(2)
+    cert = construct_invariant_form(Matrix(F2, [[1]]), SYMMETRIC)
+    assert cert.gram == Matrix(F2, [[1]])
+    F3 = PrimeField(3)
+    cert = construct_invariant_form(Matrix.jordan_block(F3, -1, 2), SKEW)
+    assert all(cert.checks.values())
+    assert cert.provenance == ["(x + 1)^2#0:unipotent-block"]
 
 
 def test_construct_infinitesimal_examples():
@@ -187,6 +190,9 @@ def test_construct_infinitesimal_examples():
     N3 = Matrix(QQ, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     cert = construct_infinitesimal_form(N3, SYMMETRIC)
     assert cert.gram == Matrix(QQ, [[0, 0, 1], [0, -1, 0], [1, 0, 0]])
+    F2 = PrimeField(2)
+    cert = construct_infinitesimal_form(Matrix(F2, [[0]]), SYMMETRIC)
+    assert cert.gram == Matrix(F2, [[1]])
     S = Matrix.companion(Poly.parse(QQ, "x^2+1"))
     for symmetry in (SYMMETRIC, SKEW):
         cert = construct_infinitesimal_form(S, symmetry)

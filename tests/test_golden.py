@@ -83,28 +83,30 @@ INSTANCES = {
 
 # sha256 of (smith JSON, certificate JSON).  The Smith digests were
 # computed before the Smith form moved to raw coefficient lists.  The
-# certificates of the two instances with a self-dual block (x^2+x+1 over
-# F_257, x^2-3x+1 over Q) were recomputed when those blocks moved to the
-# closed-form functional; the other four were unchanged by that move.
+# certificate digests were recomputed when every self-dual block, the
+# x -+ 1 and x blocks of natural parity included, moved to the one
+# closed-form functional on the power basis; the only instance left
+# unchanged by that move is q-infinitesimal-symmetric, whose x^3 Gram is
+# the same in both constructions.
 GOLDEN = {
     "fp101-infinitesimal-skew": (
         "06f577fa4bf748601467a71754d182957da06586d3f3accd4deb16038841a6e5",
-        "97edbdbd1d37cc070360a801c488f8353f12a1383f6e7de157cd6a4c3acc5ddc"),
+        "dedf409ac6224941d401ea894cd7338826b7c60ae8d42d29e84d9f66d805ce9a"),
     "fp101-invariant-symmetric": (
         "673582d3d2d6b6bfd77e8705534ca263c197721a493474a8c6946b447e5c7363",
-        "5bc65b056ae756438b8566161a1fea38a6ca48e53f562f2d7fb3e4dfbde5f317"),
+        "49fe3b903788e09131b55f4a4a32d5304b8ef0f67039f3d4f4260257296f54c6"),
     "fp257-invariant-skew": (
         "e6c9162587377886430174d780c7f6d29abb34d36389b84476e28c1524cd37dd",
-        "b81baeef121e50355cd3418f33d36c87e5e09f399fc54fa5af0c0c18eecf04dc"),
+        "faf744f4269b9e256776a191f524fe7085c3230434e2d8a6ede88319530c14e4"),
     "fp257-invariant-symmetric-repeated": (
         "eaa21b425bfa54bc336764784acd71c90b6435bbd7b0ed46c2534328d53650e3",
-        "c25ad2f6b7978370dc27175e4674254bce6d77149cdd4abf0cef6b708dc121bf"),
+        "2d207f178b599845bb215ea8b3fc4629982cc688814001512c7452e524ed2a26"),
     "q-infinitesimal-symmetric": (
         "39fb8d55cd7f4edb6af7ffb666b0e6935bc543ee428673697259070efe2e2a86",
         "0df4aba2de6de08a14635963dcea415435c5942513b3a40ee939c1dc02a557db"),
     "q-invariant-symmetric": (
         "d1acf2eff4272a462a714c5a0655cc76d8e02ad29124ec909267243e77e4ef53",
-        "283b1fafa684d69e2fd314fdafe2664724f48b3cc6fcf4f6d245b79d49695e4d"),
+        "d2000f2275a9284bf2416939e834911e373084f7d7aee242e42676f3981c592b"),
 }
 
 

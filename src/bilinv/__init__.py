@@ -18,7 +18,7 @@ from .construction import (construct_infinitesimal_form,
 from .decision import (DecisionReport, ObstructionRecord, RealityReport,
                        decide_infinitesimal_form, decide_invariant_form,
                        decide_real)
-from .fields import PrimeField, QQ, RationalField, sqrt_mod
+from .fields import PrimeField, QQ, RationalField
 from .isometry import (LevelReport, OrthogonalSummandReport, level_analysis,
                        orthogonal_decomposition, witt_index)
 from .linalg import Matrix, char_poly, char_poly_faddeev

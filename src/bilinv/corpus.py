@@ -10,6 +10,7 @@ random.Random(seed), so a corpus is reproducible from its seed.
 
 import random
 
+from .errors import SmallCharacteristic
 from .fields import PrimeField
 from .linalg import Matrix
 from .poly import Poly
@@ -143,9 +144,16 @@ def sample_instance(field, rng: random.Random, kind: str,
 
 def corpus(seed: int, count: int, kind: str,
            field_primes=DEFAULT_FIELDS, max_dim: int = MAX_DIM):
-    """List of (field, matrix) pairs, reproducible from the seed."""
+    """List of (field, matrix) pairs, reproducible from the seed.
+
+    Every prime must be at least 5: dual pairs need a scalar outside
+    {0, 1, -1} that is not its own inverse, and the quadratic atoms must
+    be irreducible."""
     rng = random.Random(seed)
     fields = [PrimeField(p) for p in field_primes]
+    if min(field.p for field in fields) < 5:
+        raise SmallCharacteristic("the corpus needs every prime to be at "
+                                  "least 5")
     out = []
     for i in range(count):
         field = fields[i % len(fields)]

@@ -17,19 +17,23 @@ minimal polynomial is a power of x + 1):
     pairing and leaves all higher levels alone, so the sweep terminates
     with exact zeros.
 
-The Witt index over F_p (p odd) splits off hyperbolic planes repeatedly;
-isotropic vectors come from a coordinate-plane square test and then a
-deterministic lexicographic prefix scan that solves for the last
-coordinate, so the search is exact and reproducible.
+The Witt index over F_p (p odd) is read off the classification of
+quadratic forms over finite fields (Serre, *A Course in Arithmetic*,
+Ch. IV): a non-degenerate symmetric form is fixed up to isometry by its
+dimension n and discriminant, and every form of dimension >= 3 is
+isotropic.  So with m = n // 2 the index is m for odd n, and for n = 2m
+it is m when (-1)^m det B is a square mod p (the form is hyperbolic) and
+m - 1 otherwise.  Skew forms are hyperbolic, of index n / 2.
 """
 
 from dataclasses import dataclass
 
+from .canonical import krylov_basis
 from .certificates import (INVARIANT, SKEW, SYMMETRIC, FormCertificate,
                            symmetry_of, verify_gram)
 from .errors import (Degenerate, NotSquare, NotUnipotent, NotUnipotentType,
                      RationalsUnsupported, SmallCharacteristic, UnverifiedForm)
-from .fields import PrimeField, sqrt_mod
+from .fields import PrimeField
 from .linalg import Matrix
 
 ODD_INDECOMPOSABLE = "OddIndecomposable"
@@ -111,35 +115,43 @@ def _bil(field, B, u, v):
     return field.dot(B.apply(v), u)
 
 
-def _chain(N: Matrix, v, k: int):
-    cols = [v]
-    for _ in range(k - 1):
-        cols.append(N.apply(cols[-1]))
-    return cols
-
-
 def _isotropize(field, B, N, k, u, partner):
-    """Kill B(u, N^j u) for all j by corrections from the partner chain."""
-    npow = [Matrix.identity(field, N.nrows)]
-    for _ in range(k):
-        npow.append(npow[-1] * N)
+    """Kill B(u, N^j u) for all j by corrections from the partner chain.
+
+    The correction for level j is z = N^(k-1-j) partner, so N^j z is
+    N^(k-1) partner at every level: only matrix-vector products are
+    needed."""
+    zs = krylov_basis(N, partner, k)
+    top = zs.col(k - 1)
     for j in range(k - 2, -1, -2):
-        psi = _bil(field, B, u, npow[j].apply(u))
+        nju = krylov_basis(N, u, j + 1).col(j)
+        psi = _bil(field, B, u, nju)
         if field.is_zero(psi):
             continue
-        z = npow[k - 1 - j].apply(partner)
-        njz = npow[j].apply(z)
-        lin = field.add(_bil(field, B, u, njz),
-                        _bil(field, B, z, npow[j].apply(u)))
-        quad = _bil(field, B, z, njz)
+        z = zs.col(k - 1 - j)
+        lin = field.add(_bil(field, B, u, top), _bil(field, B, z, nju))
+        quad = _bil(field, B, z, top)
         assert field.is_zero(quad), "partner chain correction not linear"
         assert not field.is_zero(lin), "pairing lost during sweep"
         c = field.neg(field.div(psi, lin))
         u = tuple(field.add(a, field.mul(c, b)) for a, b in zip(u, z))
+    chain = krylov_basis(N, u, k)
     for j in range(k):
-        assert field.is_zero(_bil(field, B, u, npow[j].apply(u))), \
+        assert field.is_zero(_bil(field, B, u, chain.col(j))), \
             "chain failed to isotropize"
     return u
+
+
+def _verified_form(T: Matrix, form):
+    """(B, symmetry) of a FormCertificate or Gram matrix, re-verified as
+    a symmetric or skew invariant form of T."""
+    B = form.gram if isinstance(form, FormCertificate) else form
+    symmetry = symmetry_of(B)
+    if symmetry is None:
+        raise UnverifiedForm("Gram matrix is neither symmetric nor skew")
+    if not all(verify_gram(T, B, symmetry, INVARIANT).values()):
+        raise UnverifiedForm("form does not verify against the map")
+    return B, symmetry
 
 
 def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
@@ -151,18 +163,10 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
     symmetry admits: odd (resp. even) indecomposable chains, or standard
     pairs of two totally isotropic chains.
     """
-    if isinstance(form, FormCertificate):
-        B = form.gram
-    else:
-        B = form
     F = T.field
     if not T.is_square:
         raise NotSquare("isometry analysis needs a square matrix")
-    symmetry = symmetry_of(B)
-    if symmetry is None:
-        raise UnverifiedForm("Gram matrix is neither symmetric nor skew")
-    if not all(verify_gram(T, B, symmetry, INVARIANT).values()):
-        raise UnverifiedForm("form does not verify against the map")
+    B, symmetry = _verified_form(T, form)
     sign = _unipotent_sign(T)
     if sign is None:
         raise NotUnipotentType(
@@ -198,7 +202,7 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
                     if v is not None:
                         break
             assert v is not None, "no anisotropic top chain found"
-            local = Matrix.from_cols(F, _chain(N, v, k))
+            local = krylov_basis(N, v, k)
             kind = ODD_INDECOMPOSABLE if symmetry == SYMMETRIC \
                 else EVEN_INDECOMPOSABLE
             summands.append(OrthogonalSummand(
@@ -212,9 +216,7 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
                 Matrix(F, [[F.one]], coerce=False)).col(0))
             u = _isotropize(F, B_cur, N, k, u, w)
             w = _isotropize(F, B_cur, N, k, w, u)
-            half_u = Matrix.from_cols(F, _chain(N, u, k))
-            half_w = Matrix.from_cols(F, _chain(N, w, k))
-            local = half_u.hstack(half_w)
+            local = krylov_basis(N, u, k).hstack(krylov_basis(N, w, k))
             summands.append(OrthogonalSummand(
                 (cols * local).transpose(), STANDARD_PAIR, k))
         gram = local.transpose() * B_cur * local
@@ -251,60 +253,13 @@ def _validate_orthogonal_report(T, B, report):
 
 # --- Witt index -----------------------------------------------------------------
 
-def _plane_isotropic(F, a, b, c):
-    """t with a t^2 + 2 c t + b = 0 over F_p, a != 0; None if anisotropic."""
-    p = F.p
-    disc = (c * c - a * b) % p
-    root = sqrt_mod(disc, p)
-    if root is None:
-        return None
-    return (-c + root) * pow(a, p - 2, p) % p
-
-
-def _isotropic_vector(F, B):
-    """Deterministic isotropic vector of a non-degenerate symmetric B
-    over F_p (dimension >= 2 assumed; None only in dimension 2)."""
-    n = B.nrows
-    p = F.p
-    for i in range(n):
-        if B.rows[i][i] == 0:
-            return tuple(F.one if t == i else F.zero for t in range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = _plane_isotropic(F, B.rows[i][i], B.rows[j][j], B.rows[i][j])
-            if t is not None:
-                return tuple(t if s == i else (F.one if s == j else F.zero)
-                             for s in range(n))
-    if n < 3:
-        return None
-    # lexicographic prefix scan, solving for the last coordinate; the
-    # diagonal is all nonzero here so the trailing equation is quadratic
-    from itertools import product as iproduct
-    a_nn = B.rows[n - 1][n - 1]
-    for prefix in iproduct(range(p), repeat=n - 1):
-        if all(c == 0 for c in prefix):
-            continue
-        q1 = 2 * sum(prefix[i] * B.rows[i][n - 1] for i in range(n - 1)) % p
-        q0 = sum(prefix[i] * B.rows[i][j] * prefix[j]
-                 for i in range(n - 1) for j in range(n - 1)) % p
-        # a_nn t^2 + q1 t + q0 = 0
-        disc = (q1 * q1 - 4 * a_nn * q0) % p
-        root = sqrt_mod(disc, p)
-        if root is None:
-            continue
-        t = (-q1 + root) * pow(2 * a_nn, p - 2, p) % p
-        return tuple(prefix) + (t,)
-    raise AssertionError("no isotropic vector found in dimension >= 3")
-
-
-def witt_index(B: Matrix, field=None) -> int:
+def witt_index(B: Matrix) -> int:
     """Maximal dimension of a totally isotropic subspace, over F_p only.
 
-    Skew forms have index n/2.  Symmetric forms are split by repeated
-    extraction of hyperbolic planes; a 2-dimensional leftover is
-    isotropic iff -det(B) is a square mod p.
+    Read off the dimension and the discriminant; see the module
+    docstring.
     """
-    F = field if field is not None else B.field
+    F = B.field
     if not isinstance(F, PrimeField):
         raise RationalsUnsupported(
             "Witt index computation is limited to odd prime fields")
@@ -313,33 +268,14 @@ def witt_index(B: Matrix, field=None) -> int:
     symmetry = symmetry_of(B)
     if symmetry is None:
         raise Degenerate("Gram matrix is neither symmetric nor skew")
-    if F.is_zero(B.det()):
+    det = B.det()
+    if F.is_zero(det):
         raise Degenerate("Witt index needs a non-degenerate form")
-    if symmetry == SKEW:
-        assert B.nrows % 2 == 0
-        return B.nrows // 2
-    p = F.p
-    index = 0
-    cur = B
-    while cur.nrows >= 2:
-        v = _isotropic_vector(F, cur)
-        if v is None:
-            break
-        n = cur.nrows
-        bv = cur.apply(v)
-        j = next(i for i in range(n) if bv[i] != 0)
-        w0 = tuple(F.one if t == j else F.zero for t in range(n))
-        lam = F.div(cur.rows[j][j], F.mul(F.coerce(2), bv[j]))
-        w = tuple(F.sub(a, F.mul(lam, b)) for a, b in zip(w0, v))
-        assert F.is_zero(_bil(F, cur, w, w)) and F.is_zero(_bil(F, cur, v, v))
-        index += 1
-        rows = [cur.apply(v), cur.apply(w)]
-        Z = Matrix(F, rows, coerce=False).kernel_basis()
-        if not Z:
-            return index
-        Zm = Matrix.from_cols(F, Z)
-        cur = Zm.transpose() * cur * Zm
-    return index
+    p, m = F.p, B.nrows // 2
+    if symmetry == SKEW or B.nrows % 2:
+        return m
+    disc = (-1) ** m * det % p
+    return m if pow(disc, (p - 1) // 2, p) == 1 else m - 1
 
 
 # --- level bounds -----------------------------------------------------------------
@@ -366,22 +302,14 @@ def level_analysis(T: Matrix, form) -> LevelReport:
     k <= 2l.  A genuine unipotent isometry always satisfies its bound;
     the report records which case applied.
     """
-    if isinstance(form, FormCertificate):
-        B = form.gram
-    else:
-        B = form
     F = T.field
     if not isinstance(F, PrimeField):
         raise RationalsUnsupported(
             "level analysis needs the Witt index, available over F_p only")
-    symmetry = symmetry_of(B)
-    if symmetry is None:
-        raise UnverifiedForm("Gram matrix is neither symmetric nor skew")
-    if not all(verify_gram(T, B, symmetry, INVARIANT).values()):
-        raise UnverifiedForm("form does not verify against the map")
+    B, symmetry = _verified_form(T, form)
     n = T.nrows
     k = _nilpotency_level(T - Matrix.identity(F, n))
-    l = witt_index(B, F)
+    l = witt_index(B)
     if symmetry == SYMMETRIC:
         if k <= l:
             case, ok = WITHIN_WITT, True

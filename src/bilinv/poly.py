@@ -379,13 +379,16 @@ def _pth_root_fp(f: Poly) -> Poly:
     return Poly(f.field, [f.coeff(i) for i in range(0, len(f.coeffs), p)])
 
 
-def _squarefree_fp(f: Poly):
-    """Monic f -> list of (monic squarefree, multiplicity), supports char p."""
-    p = f.field.p
+def _squarefree(f: Poly):
+    """Yun's algorithm: monic f -> list of (monic squarefree,
+    multiplicity), over Q and over F_p (where f' = 0 means f = g(x^p))."""
+    p = f.field.characteristic
     out = []
     d = f.derivative()
     if d.is_zero():
-        for g, m in _squarefree_fp(_pth_root_fp(f)):
+        if f.degree < 1:
+            return out
+        for g, m in _squarefree(_pth_root_fp(f)):
             out.append((g, m * p))
         return out
     c = poly_gcd(f, d)
@@ -400,7 +403,7 @@ def _squarefree_fp(f: Poly):
         c = c // y
         i += 1
     if c.degree > 0:
-        for g, m in _squarefree_fp(_pth_root_fp(c)):
+        for g, m in _squarefree(_pth_root_fp(c)):
             out.append((g, m * p))
     return out
 
@@ -459,10 +462,9 @@ def _equal_degree_fp(h: Poly, d: int, rng):
 
 def _factor_fp(f: Poly, rng):
     out = []
-    for g, mult in _squarefree_fp(f):
-        for prod_d, d in _distinct_degree_fp(g):
-            for irr in _equal_degree_fp(prod_d, d, rng):
-                out.append((irr.monic(), mult))
+    for g, mult in _squarefree(f):
+        for irr in _equal_degree_all(g, rng):
+            out.append((irr.monic(), mult))
     return out
 
 
@@ -524,24 +526,6 @@ def _zprimitive(a):
 def _sym_mod(c, q):
     c %= q
     return c - q if c > q // 2 else c
-
-
-def _squarefree_q(f: Poly):
-    """Yun's algorithm over Q: list of (monic squarefree, multiplicity)."""
-    out = []
-    d = f.derivative()
-    g = poly_gcd(f, d)
-    w = f // g
-    i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, g)
-        z = w // y
-        if z.degree > 0:
-            out.append((z.monic(), i))
-        w = y
-        g = g // y
-        i += 1
-    return out
 
 
 def _zassenhaus(zc, rng):
@@ -666,7 +650,7 @@ def _factor_q(f: Poly, rng):
         val += 1
     if val:
         out.append((Poly.x(f.field), val))
-    for g, mult in _squarefree_q(f):
+    for g, mult in _squarefree(f):
         zc, _ = _int_coeffs(g)
         for zfac in _zassenhaus(zc, rng):
             out.append((Poly(QQ, zfac).monic(), mult))

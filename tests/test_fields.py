@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bilinv.errors import MixedFields, ZeroInverse
-from bilinv.fields import PrimeField, QQ, is_prime, sqrt_mod
+from bilinv.fields import PrimeField, QQ, is_prime
 from bilinv.linalg import Matrix
 
 
@@ -79,13 +79,3 @@ def test_mixed_fields_hard_error():
     with pytest.raises(MixedFields):
         A + B
 
-
-def test_sqrt_mod():
-    for p in (3, 5, 13, 101, 257):
-        squares = {i * i % p for i in range(p)}
-        for a in range(p):
-            r = sqrt_mod(a, p)
-            if a in squares:
-                assert r is not None and r * r % p == a
-            else:
-                assert r is None

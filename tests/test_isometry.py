@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -123,22 +124,40 @@ def test_witt_index_congruence_invariant():
         assert witt_index(G.transpose() * B0 * G) == base
 
 
-def test_witt_index_brute_force_dim3():
-    # cross-check against exhaustive isotropic search over a small field
-    F7 = PrimeField(7)
-    rng = random.Random(107)
-    for _ in range(10):
-        while True:
-            B = Matrix.diagonal(F7, [rng.randrange(1, 7) for _ in range(3)])
-            if not F7.is_zero(B.det()):
-                break
-        w = witt_index(B)
-        found = any(
-            F7.is_zero(F7.dot(B.apply((a, b, c)), (a, b, c)))
-            for a in range(7) for b in range(7) for c in range(7)
-            if (a, b, c) != (0, 0, 0))
-        assert (w >= 1) == found
-        assert w <= 1   # dim 3 caps the index at 1
+def _greedy_witt_index(B):
+    """Exhaustive greedy reference: keep adding an isotropic vector that
+    is orthogonal to the span so far and outside it.  By Witt's theorem
+    every maximal totally isotropic subspace has the same dimension, so
+    the greedy result is the index."""
+    F, n = B.field, B.nrows
+    isotropic = [v for v in itertools.product(range(F.p), repeat=n)
+                 if any(v) and F.is_zero(F.dot(B.apply(v), v))]
+    chosen, span = [], {(0,) * n}
+    while True:
+        v = next((v for v in isotropic if v not in span and all(
+            F.is_zero(F.dot(B.apply(v), b)) for b in chosen)), None)
+        if v is None:
+            return len(chosen)
+        chosen.append(v)
+        span = {tuple(F.add(a, F.mul(c, x)) for a, x in zip(w, v))
+                for w in span for c in range(F.p)}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_witt_index_brute_force(p):
+    # random congruent forms G^t D G in both discriminant classes, against
+    # an exhaustive search over a small field (p = 1 and 3 mod 4 both)
+    F = PrimeField(p)
+    rng = random.Random(107 + p)
+    nonsquare = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) != 1)
+    for n in range(1, 5):
+        for _ in range(2):
+            for scale in (1, nonsquare):
+                diag = [rng.randrange(1, p) for _ in range(n)]
+                diag[-1] = diag[-1] * scale % p
+                G = rand_invertible(F, n, rng)
+                B = G.transpose() * Matrix.diagonal(F, diag) * G
+                assert witt_index(B) == _greedy_witt_index(B)
 
 
 def test_level_examples():

@@ -2,12 +2,10 @@
 divisors, indecomposable summands with explicit bases, and the duality
 rules that read form existence off the divisors.
 
-Everything is driven by one kernel: the Smith normal form of xI - T over
-F[x], computed with partial pivoting on lowest-degree entries.  The
-kernel runs on raw coefficient lists (lowest degree first, trailing
-zeros stripped) rather than `Poly` objects: over F_p on ints with one
-reduction mod p per output coefficient, over Q on Fractions with plain
-operators, with each row or column update a fused a - q*b or a + q*b.
+Everything is driven by one computation: the Smith normal form of
+xI - T over F[x], with partial pivoting on lowest-degree entries.  It
+runs on `poly`'s F[x] kernel directly, on raw coefficient lists rather
+than `Poly` objects, each row or column update one fused a + q*b;
 `Poly` objects are built only for the returned diagonal and transform.
 A `ModuleStructure` runs it once per matrix, tracking the inverse row
 transform, and factors each invariant factor once.  The elementary
@@ -34,61 +32,11 @@ from typing import Callable
 from .certificates import INFINITESIMAL, INVARIANT, SYMMETRIC
 from .errors import NotSquare
 from .linalg import Matrix, restriction
-from .poly import (DEFAULT_DEGREE_LIMIT, Poly, additive_dual_poly, dual_poly,
-                   factor)
+from .poly import (DEFAULT_DEGREE_LIMIT, Poly, _axpy, _divmod, _scale,
+                   additive_dual_poly, dual_poly, factor)
 
 
 # --- Smith normal form over F[x] -------------------------------------------
-#
-# The kernel works on raw coefficient lists, lowest degree first, trailing
-# zeros stripped (the zero polynomial is []).  Over F_p the entries are
-# ints, left unreduced inside one update and reduced once per output
-# coefficient; over Q they are Fractions under plain operators.  `p` is
-# the modulus, or None over Q; `zero` is the field's zero scalar.
-
-def _scale(a, c, p):
-    return [x * c % p for x in a] if p is not None else [x * c for x in a]
-
-
-def _axpy(a, q, b, p, zero):
-    """a + q*b, for nonzero q and b."""
-    size = len(q) + len(b) - 1
-    out = a + [zero] * (size - len(a)) if len(a) < size else a[:]
-    for i, c in enumerate(q):
-        if c:
-            for j, y in enumerate(b, i):
-                out[j] += c * y
-    if p is not None:
-        out = [c % p for c in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _divmod(a, b, p, zero):
-    """(quotient, remainder) of a by a nonzero b."""
-    inv = pow(b[-1], p - 2, p) if p is not None else 1 / b[-1]
-    if len(b) == 1:
-        return _scale(a, inv, p), []
-    db = len(b) - 1
-    dq = len(a) - len(b)
-    if dq < 0:
-        return [], a
-    rem = a[:]
-    quo = [zero] * (dq + 1)
-    for i in range(dq, -1, -1):
-        c = rem[i + db] * inv
-        if p is not None:
-            c %= p
-        if c:
-            quo[i] = c
-            for j, y in enumerate(b, i):
-                rem[j] -= c * y
-    rem = rem[:db] if p is None else [c % p for c in rem[:db]]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quo, rem
-
 
 def smith_normal_form(A, track: bool = False):
     """Smith normal form of a square polynomial matrix.
@@ -102,7 +50,7 @@ def smith_normal_form(A, track: bool = False):
     if n == 0:
         return [], ([] if track else None)
     field = A[0][0].field
-    p = field.p if field.characteristic else None
+    p = field.p
     zero, one = field.zero, field.one
     minus_one = field.neg(one)
     M = [[list(e.coeffs) for e in row] for row in A]

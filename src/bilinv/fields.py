@@ -78,6 +78,7 @@ class RationalField(Field):
     """The field Q with Fraction scalars."""
 
     characteristic = 0
+    p = None             # no modulus: the polynomial kernel reads this
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -119,7 +120,12 @@ class RationalField(Field):
         return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
 
     def parse(self, text: str):
-        return Fraction(text.strip())
+        text = text.strip()
+        # Fraction reads "1e10000000" too, and then builds a ten-million
+        # digit integer; the scalar form is "a/b" or a decimal
+        if "e" in text.lower():
+            raise ValueError(f"exponent notation is not a Q scalar: {text!r}")
+        return Fraction(text)
 
     def to_str(self, a) -> str:
         return str(a)

@@ -87,28 +87,32 @@ class OrthogonalSummandReport:
                 "summands": [s.to_json() for s in self.summands]}
 
 
-def _unipotent_sign(T: Matrix):
-    """+1 / -1 when T - I / T + I is nilpotent (the minimal polynomial is
-    (x - 1)^k / (x + 1)^k), else None."""
+def _unipotent_type(T: Matrix):
+    """(W, N, k, N^(k-1)) with W = T or -T and N = W - I nilpotent of level
+    k: the minimal polynomial of T is (x - 1)^k or (x + 1)^k.
+    NotUnipotentType if it is neither."""
     ident = Matrix.identity(T.field, T.nrows)
-    for sign, N in ((1, T - ident), (-1, T + ident)):
+    for W in (T, -T):
+        N = W - ident
         try:
-            _nilpotency_level(N)
+            return (W, N) + _nilpotency_level(N)
         except NotUnipotent:
             continue
-        return sign
-    return None
+    raise NotUnipotentType(
+        "minimal polynomial is not a power of (x - 1) or (x + 1)")
 
 
-def _nilpotency_level(N: Matrix) -> int:
-    k = 0
+def _nilpotency_level(N: Matrix):
+    """(k, N^(k-1)) for the least k with N^k = 0 (N^-1 is None when N is
+    empty)."""
+    k, prev = 0, None
     P = Matrix.identity(N.field, N.nrows)
     while not P.is_zero():
-        P = P * N
+        prev, P = P, P * N
         k += 1
         if k > N.nrows:
             raise NotUnipotent("matrix is not unipotent")
-    return k
+    return k, prev
 
 
 def _bil(field, B, u, v):
@@ -166,22 +170,15 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
     F = T.field
     if not T.is_square:
         raise NotSquare("isometry analysis needs a square matrix")
+    if F.characteristic == 2:
+        raise SmallCharacteristic("characteristic 2 is out of scope")
     B, symmetry = _verified_form(T, form)
-    sign = _unipotent_sign(T)
-    if sign is None:
-        raise NotUnipotentType(
-            "minimal polynomial is not a power of (x - 1) or (x + 1)")
-    W = T if sign == 1 else -T
-    n = T.nrows
-    ident = Matrix.identity(F, n)
-    cols = ident                      # ambient basis of the current subspace
-    T_cur, B_cur = W, B
+    T_cur, N, k, nk1 = _unipotent_type(T)
+    B_cur = B
+    cols = Matrix.identity(F, T.nrows)  # ambient basis of the current subspace
     summands = []
     while cols.ncols > 0:
         d = cols.ncols
-        N = T_cur - Matrix.identity(F, d)
-        k = _nilpotency_level(N)
-        nk1 = N ** (k - 1)
         parity_ok = (k % 2 == 1) == (symmetry == SYMMETRIC)
         if parity_ok:
             M2 = B_cur * nk1
@@ -229,6 +226,8 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
         cols = cols * Zm
         T_cur = Zm.solve_right(T_cur * Zm)
         B_cur = Zm.transpose() * B_cur * Zm
+        N = T_cur - Matrix.identity(F, cols.ncols)
+        k, nk1 = _nilpotency_level(N)
     report = OrthogonalSummandReport(summands, symmetry)
     _validate_orthogonal_report(T, B, report)
     return report
@@ -308,7 +307,7 @@ def level_analysis(T: Matrix, form) -> LevelReport:
             "level analysis needs the Witt index, available over F_p only")
     B, symmetry = _verified_form(T, form)
     n = T.nrows
-    k = _nilpotency_level(T - Matrix.identity(F, n))
+    k, _ = _nilpotency_level(T - Matrix.identity(F, n))
     l = witt_index(B)
     if symmetry == SYMMETRIC:
         if k <= l:

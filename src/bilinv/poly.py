@@ -4,6 +4,13 @@ Polynomials are dense coefficient tuples, lowest degree first, trailing
 zeros stripped; the zero polynomial has an empty tuple and degree -1.
 All arithmetic is exact.
 
+This module holds the one F[x] arithmetic kernel, three functions on raw
+coefficient sequences (`_scale`, `_axpy`, `_divmod`): over F_p on ints
+with one reduction mod p per output coefficient, over Q on Fractions
+with plain operators.  `Poly` addition, subtraction, multiplication,
+division and scaling wrap it, the Z[x] products of Hensel lifting use
+it on ints, and the Smith form in `canonical` runs on it directly.
+
 The two duality operators act on monic polynomials:
 
   * multiplicative dual  f*(x) = f(0)^-1 x^deg(f) f(1/x)  (roots invert),
@@ -21,13 +28,64 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (DegreeLimit, MixedFields, NotEvenPolynomial, NotSelfDual,
                      OddDegree, ZeroConstantTerm)
 from .fields import Field, PrimeField, QQ, is_prime
 
 DEFAULT_DEGREE_LIMIT = 24
+
+
+# --- the F[x] kernel --------------------------------------------------------
+#
+# Raw coefficient sequences, lowest degree first, trailing zeros stripped
+# (the zero polynomial is empty); results are lists.  Over F_p the entries
+# are ints in [0, p), left unreduced inside one update and reduced once per
+# output coefficient.  `p` is the modulus, or None over Q (Fractions);
+# `_axpy` with p None also multiplies over Z (ints, for Hensel lifting).
+# `zero` is the field's zero scalar.
+
+def _scale(a, c, p):
+    return [x * c % p for x in a] if p is not None else [x * c for x in a]
+
+
+def _axpy(a, q, b, p, zero):
+    """a + q*b, for nonzero q and b; with a empty, the product q*b."""
+    out = list(a) + [zero] * (len(q) + len(b) - 1 - len(a))
+    for i, c in enumerate(q):
+        if c:
+            for j, y in enumerate(b, i):
+                out[j] += c * y
+    if p is not None:
+        out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _divmod(a, b, p, zero):
+    """(quotient, remainder) of a by a nonzero b."""
+    inv = pow(b[-1], p - 2, p) if p is not None else 1 / b[-1]
+    if len(b) == 1:
+        return _scale(a, inv, p), []
+    db = len(b) - 1
+    dq = len(a) - len(b)
+    if dq < 0:
+        return [], a
+    rem = list(a)
+    quo = [zero] * (dq + 1)
+    for i in range(dq, -1, -1):
+        c = rem[i + db] * inv
+        if p is not None:
+            c %= p
+        if c:
+            quo[i] = c
+            for j, y in enumerate(b, i):
+                rem[j] -= c * y
+    rem = rem[:db] if p is None else [c % p for c in rem[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
 
 
 class Poly:
@@ -103,9 +161,6 @@ class Poly:
     def is_one(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     @property
     def lc(self):
         """Leading coefficient (of the zero polynomial: 0)."""
@@ -137,44 +192,38 @@ class Poly:
             raise TypeError(f"expected Poly, got {other!r}")
         self.field.require_same(other.field)
 
-    def __add__(self, other):
+    def _add_scaled(self, c, other):
+        """self + c*other for a nonzero scalar c."""
         self._check(other)
-        F, a, b = self.field, self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        F = self.field
+        if not other.coeffs:
+            return self
+        return Poly(F, _axpy(self.coeffs, (F.coerce(c),), other.coeffs, F.p,
+                             F.zero), normalize=False)
+
+    def __add__(self, other):
+        return self._add_scaled(1, other)
 
     def __sub__(self, other):
-        self._check(other)
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [F.sub(self.coeff(i), other.coeff(i)) for i in range(n)]
-        return Poly(F, out)
+        return self._add_scaled(-1, other)
 
     def __neg__(self):
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs], normalize=False)
+        return self.scale(-1)
 
     def __mul__(self, other):
         self._check(other)
         F = self.field
         if self.is_zero() or other.is_zero():
             return Poly.zero(F)
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly(F, out)
+        return Poly(F, _axpy((), self.coeffs, other.coeffs, F.p, F.zero),
+                    normalize=False)
 
     def scale(self, c) -> "Poly":
         F = self.field
         c = F.coerce(c)
-        return Poly(F, [F.mul(c, a) for a in self.coeffs])
+        if F.is_zero(c):
+            return Poly.zero(F)
+        return Poly(F, _scale(self.coeffs, c, F.p), normalize=False)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""
@@ -188,20 +237,8 @@ class Poly:
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(F), self
-        quo = [F.zero] * (dq + 1)
-        inv_lc = F.inv(other.lc)
-        for i in range(dq, -1, -1):
-            c = F.mul(rem[i + other.degree], inv_lc)
-            if F.is_zero(c):
-                continue
-            quo[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
-        return Poly(F, quo), Poly(F, rem)
+        quo, rem = _divmod(self.coeffs, other.coeffs, F.p, F.zero)
+        return Poly(F, quo, normalize=False), Poly(F, rem, normalize=False)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -236,9 +273,8 @@ class Poly:
         return self.scale(self.field.inv(self.lc))
 
     def derivative(self) -> "Poly":
-        F = self.field
-        out = [F.mul(F.coerce(i), c) for i, c in enumerate(self.coeffs)][1:]
-        return Poly(F, out)
+        return Poly(self.field,
+                    [i * c for i, c in enumerate(self.coeffs[1:], 1)])
 
     def compose(self, inner: "Poly") -> "Poly":
         self._check(inner)
@@ -375,8 +411,7 @@ def factor(f: Poly, seed: int = 0,
 def _pth_root_fp(f: Poly) -> Poly:
     # f = g(x^p); on the prime field a^(1/p) = a, so just pick the
     # coefficients at indices divisible by p
-    p = f.field.p
-    return Poly(f.field, [f.coeff(i) for i in range(0, len(f.coeffs), p)])
+    return Poly(f.field, f.coeffs[::f.field.p])
 
 
 def _squarefree(f: Poly):
@@ -470,32 +505,8 @@ def _factor_fp(f: Poly, rng):
 
 # --- factorization over Q (integer coefficients, Hensel + recombination) --
 
-def _int_coeffs(f: Poly):
-    """Scale a rational polynomial to a primitive integer one.
-
-    Returns (coeffs, scale) with f = scale * Z and Z primitive with
-    positive leading coefficient.
-    """
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * den) for c in f.coeffs]
-    cont = math.gcd(*ints)
-    if ints[-1] < 0:
-        cont = -cont
-    ints = [c // cont for c in ints]
-    return ints, Fraction(cont, den)
-
-
 def _zdeg(a):
     return len(a) - 1
-
-
-def _zmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _zdiv_exact(a, b):
@@ -591,7 +602,7 @@ def _hensel_lift(zc, modular, p, a):
     for _ in range(a - 1):
         prod = [zc[-1]]
         for g in lifted:
-            prod = _zmul(prod, g)
+            prod = _axpy((), prod, g, None, 0)
         err = [x - y for x, y in zip(zc, prod)]
         assert all(c % q == 0 for c in err)
         e = Poly(Fp, [c // q for c in err])
@@ -625,7 +636,7 @@ def _recombine(zc, lifted, q):
                     continue
             cand = [lead]
             for i in subset:
-                cand = [c % q for c in _zmul(cand, lifted[i])]
+                cand = [c % q for c in _axpy((), cand, lifted[i], None, 0)]
             cand = _zprimitive([_sym_mod(c, q) for c in cand])
             quo = _zdiv_exact(rem, cand)
             if quo is not None:
@@ -651,7 +662,8 @@ def _factor_q(f: Poly, rng):
     if val:
         out.append((Poly.x(f.field), val))
     for g, mult in _squarefree(f):
-        zc, _ = _int_coeffs(g)
+        den = math.lcm(*(c.denominator for c in g.coeffs))
+        zc = _zprimitive([int(c * den) for c in g.coeffs])
         for zfac in _zassenhaus(zc, rng):
             out.append((Poly(QQ, zfac).monic(), mult))
     return out
@@ -666,8 +678,8 @@ def dual_poly(f: Poly) -> Poly:
     c0 = f.constant_term()
     if f.field.is_zero(c0):
         raise ZeroConstantTerm("dual undefined: constant term is zero")
-    inv = f.field.inv(c0)
-    return Poly(f.field, [f.field.mul(inv, c) for c in reversed(f.coeffs)])
+    return Poly(f.field, f.coeffs[::-1], normalize=False).scale(
+        f.field.inv(c0))
 
 
 def additive_dual_poly(f: Poly) -> Poly:

@@ -134,6 +134,10 @@ def test_bad_instance_files(tmp_path, capsys):
     path = write_instance(tmp_path, "bigf.json", {"Fp": 2 ** 89 - 1}, J2)
     code, out = run_json(capsys, ["decide", path, "--symmetry", "skew"])
     assert code == 2 and out["error"]["kind"] == "InputError"
+    # exponent notation would make Fraction build a huge integer
+    path = write_instance(tmp_path, "huge.json", "Q", [["1e10000000"]])
+    code, out = run_json(capsys, ["decide", path, "--symmetry", "skew"])
+    assert code == 2 and out["error"]["kind"] == "InputError"
     for value in (5, []):
         path = tmp_path / "notobj.json"
         path.write_text(json.dumps(value))
@@ -145,6 +149,11 @@ def test_bad_instance_files(tmp_path, capsys):
 def test_capability_error_small_characteristic(tmp_path, capsys):
     path = write_instance(tmp_path, "f2.json", {"Fp": 2}, [["1", "1"], ["0", "1"]])
     code, out = run_json(capsys, ["decide", path, "--symmetry", "skew"])
+    assert code == 3 and out["error"]["kind"] == "SmallCharacteristic"
+    path = write_instance(tmp_path, "f2g.json", {"Fp": 2},
+                          [["1", "0"], ["0", "1"]],
+                          gram=[["0", "1"], ["1", "0"]])
+    code, out = run_json(capsys, ["decompose", path])
     assert code == 3 and out["error"]["kind"] == "SmallCharacteristic"
 
 

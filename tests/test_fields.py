@@ -62,6 +62,11 @@ def test_rational_string_roundtrip():
                      rng.randrange(1, 10**12))
         assert QQ.parse(QQ.to_str(a)) == a
     assert QQ.parse("-3/7") == Fraction(-3, 7)
+    assert QQ.parse(" -1.25 ") == Fraction(-5, 4)
+    # Fraction would expand "1e10000000" to a ten-million digit integer
+    for text in ("1e5", "2E-3", "1e10000000"):
+        with pytest.raises(ValueError, match="exponent"):
+            QQ.parse(text)
     assert PrimeField(11).parse("25") == 3
     assert PrimeField(11).parse("1/2") == 6
 

@@ -8,7 +8,7 @@ from bilinv.construction import construct_invariant_form
 from bilinv.corpus import (jordan_matrix, skew_admissible,
                            symmetric_admissible, unipotent_jordan_types)
 from bilinv.errors import (NotUnipotentType, RationalsUnsupported,
-                           UnverifiedForm)
+                           SmallCharacteristic, UnverifiedForm)
 from bilinv.fields import PrimeField, QQ
 from bilinv.isometry import (EVEN_INDECOMPOSABLE, GENERAL_ODD,
                              ODD_INDECOMPOSABLE, STANDARD_PAIR, level_analysis,
@@ -49,6 +49,11 @@ def test_orthogonal_decomposition_rejects():
     J3 = Matrix.jordan_block(F101, 1, 3)
     with pytest.raises(UnverifiedForm):
         orthogonal_decomposition(J3, Matrix.identity(F101, 3))
+    # over F_2 the anisotropic-vector search has nothing to find
+    F2 = PrimeField(2)
+    with pytest.raises(SmallCharacteristic):
+        orthogonal_decomposition(Matrix.identity(F2, 2),
+                                 Matrix(F2, [[0, 1], [1, 0]]))
 
 
 def test_orthogonal_decomposition_conjugated_all_types():

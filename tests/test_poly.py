@@ -86,6 +86,36 @@ def test_factor_multiplicities_char_p():
         [("x + 1", 3), ("x + 2", 4)]
 
 
+def random_product(field, rng):
+    """A product of 1-4 random factors of degree 1-3, some repeated."""
+    f = Poly.one(field)
+    for _ in range(rng.randrange(1, 5)):
+        g = rand_poly(field, rng.randrange(1, 4), rng)
+        f = f * g ** rng.choice((1, 1, 2))
+    return f
+
+
+def test_factor_matches_sympy():
+    # an independent factorization on seeded inputs
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(41)
+    for field in (QQ, PrimeField(2), PrimeField(3), F101):
+        for _ in range(25):
+            f = random_product(field, rng)
+            high_first = [sympy.Rational(str(c)) for c in reversed(f.coeffs)]
+            if field.characteristic:
+                ref = sympy.Poly(high_first, x, modulus=field.p)
+            else:
+                ref = sympy.Poly(high_first, x, domain="QQ")
+            expected = sorted(
+                (Poly(field, [Fraction(str(c)) for c in
+                              reversed(g.all_coeffs())]).monic().coeffs, e)
+                for g, e in ref.factor_list()[1])
+            got = sorted((g.coeffs, e) for g, e in factor(f, seed=3))
+            assert got == expected, f.to_str()
+
+
 def test_degree_limit():
     f = Poly(QQ, [1] * 26)
     with pytest.raises(DegreeLimit):

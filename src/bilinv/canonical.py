@@ -16,8 +16,11 @@ cyclic summand, and splitting the generators along the factorization of
 their annihilators produces the indecomposable decomposition with a
 basis per summand.  A generator sum_j pinv[j][i](T) e_j is evaluated as
 sum_k T^k u_k, u_k the x^k coefficients of transform column i, by
-Horner on vectors; so are the annihilation check and the cofactor
-projections, so the decomposition costs matrix-vector products only.
+Horner on vectors (`linalg.krylov_sum`); so are the annihilation check
+and the cofactor projections (`linalg.poly_apply`), so the decomposition
+costs matrix-vector products only.  Over Q those products, the Horner
+sums and the rank and restriction checks run in `linalg` on integers
+over one denominator, with one Fraction built per output entry.
 
 Every summand, whatever its divisor p^k, has one kind of basis: the
 powers v, Tv, ..., T^(N-1) v of its generator v, N = deg p^k.  On it T
@@ -31,7 +34,7 @@ from typing import Callable
 
 from .certificates import INFINITESIMAL, INVARIANT, SYMMETRIC
 from .errors import NotSquare
-from .linalg import Matrix, restriction
+from .linalg import Matrix, krylov_sum, poly_apply, restriction
 from .poly import (DEFAULT_DEGREE_LIMIT, Poly, _axpy, _divmod, _scale,
                    additive_dual_poly, dual_poly, factor)
 
@@ -217,22 +220,6 @@ class IndecomposableSummand:
         return (self.p.coeffs, self.k)
 
 
-def _krylov_sum(T: Matrix, vecs):
-    """sum_k T^k vecs[k] by Horner on vectors: one matrix-vector product
-    per term instead of a power of T."""
-    F = T.field
-    acc = vecs[-1]
-    for u in reversed(vecs[:-1]):
-        acc = tuple(F.add(a, b) for a, b in zip(T.apply(acc), u))
-    return acc
-
-
-def _poly_apply(f: Poly, T: Matrix, v):
-    """f(T) v by Horner on vectors (f nonzero)."""
-    F = T.field
-    return _krylov_sum(T, [tuple(F.mul(c, x) for x in v) for c in f.coeffs])
-
-
 def krylov_basis(T: Matrix, v, r: int) -> Matrix:
     """Columns v, Tv, ..., T^(r-1) v."""
     cols = [v]
@@ -307,12 +294,12 @@ class ModuleStructure:
             # u_k holds the x^k coefficients of transform column idx
             column = [pinv[j][idx] for j in range(n)]
             deg = max(e.degree for e in column)
-            gen = _krylov_sum(T, [tuple(e.coeff(k) for e in column)
-                                  for k in range(deg + 1)])
-            assert all(F.is_zero(c) for c in _poly_apply(d, T, gen)), \
+            gen = krylov_sum(T, [tuple(e.coeff(k) for e in column)
+                                 for k in range(deg + 1)])
+            assert all(F.is_zero(c) for c in poly_apply(d, T, gen)), \
                 "generator not annihilated by its invariant factor"
             for p, k in fac:
-                w = _poly_apply(d // p ** k, T, gen)
+                w = poly_apply(d // p ** k, T, gen)
                 summands.append(IndecomposableSummand(
                     p, k, 0, krylov_basis(T, w, p.degree * k)))
         summands.sort(key=lambda s: (s.p.degree, s.p.coeffs, s.k))

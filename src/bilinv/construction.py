@@ -263,8 +263,23 @@ def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
     C = reduce(Matrix.hstack, [cols for cols, _ in blocks])
     B_union = Matrix.block_diagonal(F, [gram for _, gram in blocks])
     Cinv = C.inverse()
-    B = Cinv.transpose() * B_union * Cinv
+    B = _share_transpose(Cinv.transpose() * B_union * Cinv, symmetry)
     return make_certificate(M, B, symmetry, setting, provenance)
+
+
+def _share_transpose(B: Matrix, symmetry: str) -> Matrix:
+    """B with each entry below the diagonal replaced by the entry above it
+    (symmetric) or by its negative (skew), wherever the computed entries
+    already agree: the Gram keeps one copy of each large rational, and
+    the verifier still sees any asymmetry the products left."""
+    F = B.field
+    rows = [list(r) for r in B.rows]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            x = row[j] if symmetry == SYMMETRIC else F.neg(row[j])
+            if rows[j][i] == x:
+                rows[j][i] = x
+    return Matrix(F, rows, coerce=False)
 
 
 def _construct(M: Matrix, symmetry: str, setting: str, seed: int,

@@ -1,15 +1,25 @@
 """Dense exact matrices over Q or F_p, and the solvers built on them.
 
 Matrices are immutable row-major tuples of raw scalars sharing one field.
-Determinants run fraction-free (Bareiss) over Q after clearing row
-denominators, and by ordinary elimination over F_p.  The characteristic
-polynomial is the Bareiss determinant of xI - T computed with polynomial
-entries, which works in every characteristic; a Faddeev-LeVerrier route
-is kept alongside as an independent cross-check for small sizes.
+Over Q the products, the elimination and Horner on vectors run on
+integers over one denominator: each row, column or vector is cleared
+with one lcm of its denominators (`_clear`), inner products are taken on
+Python ints, and one Fraction is built per output entry, so no gcd is
+paid per scalar operation.  Elimination is fraction-free Gauss-Jordan
+with per-row content removal and one division by the pivot at the end;
+determinants are fraction-free Bareiss on the cleared rows.  Over F_p
+the same operations run on residues with the field's methods.
+
+The characteristic polynomial is the Bareiss determinant of xI - T
+computed with polynomial entries, which works in every characteristic; a
+Faddeev-LeVerrier route is kept alongside as an independent cross-check
+for small sizes.  Horner on vectors (`krylov_sum`, `poly_apply`) applies
+sum_k T^k u_k or f(T) to a vector with matrix-vector products only.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotSquare, Singular
 from .fields import Field, RationalField
@@ -155,6 +165,12 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("incompatible shapes for multiplication")
         F = self.field
+        if F.p is None:
+            cols = [_clear(col) for col in zip(*other.rows)]
+            return Matrix(F, [[Fraction(sum(map(mul, a, b)), da * db)
+                               for b, db in cols]
+                              for a, da in map(_clear, self.rows)],
+                          coerce=False)
         bt = list(zip(*other.rows))
         return Matrix(F, [[F.dot(row, col) for col in bt]
                           for row in self.rows], coerce=False)
@@ -192,6 +208,10 @@ class Matrix:
     def apply(self, vec):
         """Matrix times a column vector (tuple of raw scalars)."""
         F = self.field
+        if F.p is None:
+            v, dv = _clear(vec)
+            return tuple(Fraction(sum(map(mul, a, v)), da * dv)
+                         for a, da in map(_clear, self.rows))
         return tuple(F.dot(row, vec) for row in self.rows)
 
     def is_zero(self) -> bool:
@@ -281,8 +301,19 @@ class Matrix:
         return Matrix(F, rows, coerce=False)
 
 
+def _clear(xs):
+    """Q scalars xs as (ints, d) with xs[i] = ints[i] / d, d the lcm of
+    their denominators (1 for no scalars)."""
+    d = math.lcm(*[x.denominator for x in xs])
+    if d == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def _rref(M: Matrix):
     """Reduced row echelon form and pivot column list (deterministic)."""
+    if M.field.p is None:
+        return _rref_q(M)
     F = M.field
     rows = [list(r) for r in M.rows]
     pivots = []
@@ -305,6 +336,46 @@ def _rref(M: Matrix):
         pivots.append(c)
         r += 1
     return Matrix(F, rows, coerce=False), pivots
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref_q(M: Matrix):
+    # fraction-free Gauss-Jordan on the cleared rows: a row changes only
+    # by nonzero integer multiples, so the row space and hence the
+    # (unique) RREF are unchanged; pivot rows are divided out at the end
+    F = M.field
+    n = M.nrows
+    rows = [_primitive(_clear(r)[0]) for r in M.rows]
+    pivots = []
+    r = 0
+    for c in range(M.ncols):
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        piv = prow[c]
+        for i in range(n):
+            f = rows[i][c]
+            if i != r and f:
+                g = math.gcd(piv, f)
+                a, b = piv // g, f // g
+                rows[i] = _primitive([a * x - b * y
+                                      for x, y in zip(rows[i], prow)])
+        pivots.append(c)
+        r += 1
+    zero = F.zero
+    out = [[Fraction(x, rows[i][c]) if x else zero for x in rows[i]]
+           for i, c in enumerate(pivots)]
+    out += [[zero] * M.ncols for _ in range(n - r)]
+    return Matrix(F, out, coerce=False), pivots
 
 
 def _det_gauss_fp(M: Matrix):
@@ -333,11 +404,11 @@ def _det_bareiss_q(M: Matrix):
     # scale each row to integers, run integer Bareiss, and divide back
     n = M.nrows
     rows = []
-    scale = Fraction(1)
+    scale = 1
     for r in M.rows:
-        den = math.lcm(*(c.denominator for c in r))
+        ints, den = _clear(r)
         scale *= den
-        rows.append([int(c * den) for c in r])
+        rows.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -353,7 +424,7 @@ def _det_bareiss_q(M: Matrix):
                               - rows[i][k] * rows[k][j]) // prev
             rows[i][k] = 0
         prev = rows[k][k]
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
+    return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
 def det_cofactor(M: Matrix):
@@ -456,6 +527,48 @@ def eval_poly_at_matrix(f: Poly, T: Matrix) -> Matrix:
         acc = acc * T if not acc.is_zero() else acc
         acc = acc + Matrix.identity(F, n).scale(c)
     return acc
+
+
+# --- Horner on vectors -----------------------------------------------------------
+
+def _horner_q(T: Matrix, terms):
+    """sum_k T^k u_k over Q, u_k = ints / d given as terms[k] = (ints, d),
+    on one integer vector over a running denominator; T = R / dT is
+    cleared once."""
+    flat, dT = _clear([x for row in T.rows for x in row])
+    n = T.ncols
+    R = [flat[i:i + n] for i in range(0, len(flat), n)]
+    acc, D = terms[-1]
+    for w, dw in reversed(terms[:-1]):
+        acc = [sum(map(mul, row, acc)) for row in R]
+        D *= dT
+        L = math.lcm(D, dw)
+        s, t = L // D, L // dw
+        acc = [s * x + t * y for x, y in zip(acc, w)]
+        D = L
+    return tuple(Fraction(x, D) for x in acc)
+
+
+def krylov_sum(T: Matrix, vecs):
+    """sum_k T^k vecs[k] by Horner on vectors: one matrix-vector product
+    per term instead of a power of T."""
+    F = T.field
+    if F.p is None:
+        return _horner_q(T, [_clear(u) for u in vecs])
+    acc = vecs[-1]
+    for u in reversed(vecs[:-1]):
+        acc = tuple(F.add(a, b) for a, b in zip(T.apply(acc), u))
+    return acc
+
+
+def poly_apply(f: Poly, T: Matrix, v):
+    """f(T) v by Horner on vectors (f nonzero)."""
+    F = T.field
+    if F.p is None:
+        w, d = _clear(v)
+        return _horner_q(T, [([c.numerator * x for x in w],
+                              c.denominator * d) for c in f.coeffs])
+    return krylov_sum(T, [tuple(F.mul(c, x) for x in v) for c in f.coeffs])
 
 
 def restriction(T: Matrix, basis_cols: Matrix) -> Matrix:

@@ -50,10 +50,17 @@ def _scale(a, c, p):
 
 
 def _axpy(a, q, b, p, zero):
-    """a + q*b, for nonzero q and b; with a empty, the product q*b."""
+    """a + q*b, for nonzero q and b; with a empty, the product q*b.
+    A coefficient 1 or -1 of q adds or subtracts b without multiplying."""
     out = list(a) + [zero] * (len(q) + len(b) - 1 - len(a))
     for i, c in enumerate(q):
-        if c:
+        if c == 1:
+            for j, y in enumerate(b, i):
+                out[j] += y
+        elif c == -1:
+            for j, y in enumerate(b, i):
+                out[j] -= y
+        elif c:
             for j, y in enumerate(b, i):
                 out[j] += c * y
     if p is not None:

@@ -79,6 +79,18 @@ INSTANCES = {
         QQ,
         [("J", 0, 3), ("J", 2, 1), ("J", -2, 1)],
         16, construct_infinitesimal_form, SYMMETRIC),
+    # n = 10, shaped like the bench's q-construct instances: Gram entries
+    # of several thousand bits pin the Q products and elimination
+    "q10-invariant-symmetric": (
+        QQ,
+        [("C", "x^4+x^3+x^2+x+1"), ("C", "x^2-3*x+1"), ("J", 1, 3),
+         ("J", -1, 1)],
+        16, construct_invariant_form, SYMMETRIC),
+    "q10-invariant-skew": (
+        QQ,
+        [("C", "x^4+x^3+x^2+x+1"), ("C", "x^2-3*x+1"), ("J", 1, 2),
+         ("J", -1, 1), ("J", -1, 1)],
+        17, construct_invariant_form, SKEW),
 }
 
 # sha256 of (smith JSON, certificate JSON).  The Smith digests were
@@ -87,7 +99,9 @@ INSTANCES = {
 # x -+ 1 and x blocks of natural parity included, moved to the one
 # closed-form functional on the power basis; the only instance left
 # unchanged by that move is q-infinitesimal-symmetric, whose x^3 Gram is
-# the same in both constructions.
+# the same in both constructions.  The two q10 instances were added, with
+# digests computed before the Q matrix products and elimination moved to
+# integers over one denominator, to pin that move byte for byte.
 GOLDEN = {
     "fp101-infinitesimal-skew": (
         "06f577fa4bf748601467a71754d182957da06586d3f3accd4deb16038841a6e5",
@@ -107,6 +121,12 @@ GOLDEN = {
     "q-invariant-symmetric": (
         "d1acf2eff4272a462a714c5a0655cc76d8e02ad29124ec909267243e77e4ef53",
         "d2000f2275a9284bf2416939e834911e373084f7d7aee242e42676f3981c592b"),
+    "q10-invariant-skew": (
+        "48c0c800e9d815339afd8f5ffe89ce670b1a3c37e0ac7acb25aca81af6b98e2d",
+        "df51caa8e7a86f247ce0cc04fd2ab1886ac976aefa42bf06271e44a29cadda2a"),
+    "q10-invariant-symmetric": (
+        "a3487c72581d0e1251a45e69867747fdfe1e792d7e434ff044329f40a4f34abd",
+        "8abe1c4210bd79edc7aaffb9024009a07cc12f27629cdbf7be8f6db049c558e2"),
 }
 
 

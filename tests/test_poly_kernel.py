@@ -78,11 +78,22 @@ def test_product_commutes_and_matches_schoolbook(pair):
 
 
 @PROPERTY
-@given(poly_pairs(), st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+@given(poly_pairs(),
+       st.one_of(st.sampled_from(([1], [-1], [0, 1], [-1, 0, 1])),
+                 st.lists(st.integers(-3, 3), min_size=1, max_size=4)))
 def test_axpy_matches_poly_operators(pair, q):
+    # q = +-1 takes the kernel's add/subtract shortcut
     field, a, b = pair
     q = Poly(field, q)
     if q.is_zero() or b.is_zero():
         return
     raw = _axpy(a.coeffs, q.coeffs, b.coeffs, field.p, field.zero)
     assert tuple(raw) == (a + q * b).coeffs
+    prod = schoolbook_mul(field, q.coeffs, b.coeffs)
+    n = max(len(a.coeffs), len(prod))
+    pad = (field.zero,) * n
+    out = [field.add(x, y) for x, y in zip((a.coeffs + pad)[:n],
+                                           (prod + pad)[:n])]
+    while out and field.is_zero(out[-1]):
+        out.pop()
+    assert raw == out

@@ -2,25 +2,14 @@
 divisors, indecomposable summands with explicit bases, and the duality
 rules that read form existence off the divisors.
 
-Everything is driven by one computation: the Smith normal form of
-xI - T over F[x], with partial pivoting on lowest-degree entries.  It
-runs on `poly`'s F[x] kernel directly, on raw coefficient lists rather
-than `Poly` objects, each row or column update one fused a + q*b;
-`Poly` objects are built only for the returned diagonal and transform.
-A `ModuleStructure` runs it once per matrix, tracking the inverse row
-transform, and factors each invariant factor once.  The elementary
-divisors, invertibility and the indecomposable summands are all read
-from that one analysis: the tracked transform yields, for each
-nonconstant invariant factor, an explicit generator of the corresponding
-cyclic summand, and splitting the generators along the factorization of
-their annihilators produces the indecomposable decomposition with a
-basis per summand.  A generator sum_j pinv[j][i](T) e_j is evaluated as
-sum_k T^k u_k, u_k the x^k coefficients of transform column i, by
-Horner on vectors (`linalg.krylov_sum`); so are the annihilation check
-and the cofactor projections (`linalg.poly_apply`), so the decomposition
-costs matrix-vector products only.  Over Q those products, the Horner
-sums and the rank and restriction checks run in `linalg` on integers
-over one denominator, with one Fraction built per output entry.
+A `ModuleStructure` starts from the characteristic polynomial chi of T
+(`linalg.char_poly`) and factors it once.  For each p^e exactly dividing
+chi it works on W = ker p(T)^e, with T restricted to W: the kernel
+dimensions of the powers of p(T) give the multiplicities of the
+divisors p^k, and bases of those kernels give the generators of the
+cyclic summands.  `invariant_factors` and `min_poly` are read off the
+divisors.  The Smith normal form of xI - T over F[x] (on `poly`'s F[x]
+kernel) is kept as an independent reference for the invariant factors.
 
 Every summand, whatever its divisor p^k, has one kind of basis: the
 powers v, Tv, ..., T^(N-1) v of its generator v, N = deg p^k.  On it T
@@ -34,9 +23,10 @@ from typing import Callable
 
 from .certificates import INFINITESIMAL, INVARIANT, SYMMETRIC
 from .errors import NotSquare
-from .linalg import Matrix, krylov_sum, poly_apply, restriction
+from .linalg import (Matrix, _rref, char_poly, eval_poly_at_matrix,
+                     restriction)
 from .poly import (DEFAULT_DEGREE_LIMIT, Poly, _axpy, _divmod, _scale,
-                   additive_dual_poly, dual_poly, factor)
+                   _squarefree, additive_dual_poly, dual_poly, factor)
 
 
 # --- Smith normal form over F[x] -------------------------------------------
@@ -160,22 +150,6 @@ def _char_matrix(T: Matrix):
              for j in range(n)] for i in range(n)]
 
 
-def invariant_factors(T: Matrix):
-    """Monic invariant factors d_1 | ... | d_n of xI - T (constants included)."""
-    if not T.is_square:
-        raise NotSquare("invariant factors of a non-square matrix")
-    diag, _ = smith_normal_form(_char_matrix(T))
-    assert all(not d.is_zero() for d in diag)
-    return diag
-
-
-def min_poly(T: Matrix) -> Poly:
-    """Monic minimal polynomial: the largest invariant factor of xI - T
-    (1 for the 0 x 0 matrix)."""
-    diag = invariant_factors(T)
-    return diag[-1] if diag else Poly.one(T.field)
-
-
 # --- elementary divisors and summands ----------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -231,14 +205,14 @@ def krylov_basis(T: Matrix, v, r: int) -> Matrix:
 class ModuleStructure:
     """The F[x]-module structure of V under T, computed once per matrix.
 
-    Holds one tracked Smith form of xI - T.  Its diagonal gives the
-    invariant factors, and T is invertible iff no invariant factor has a
-    zero constant term; both are known on construction, before anything
-    is factored, so callers can reject a singular map first.  On first
-    use each nonconstant invariant factor is factored once (with `seed`
-    and `degree_limit`, as in `factor`), and the elementary divisors and
-    the indecomposable summands are both read from those factorizations
-    and the same Smith transform.
+    Holds the characteristic polynomial chi of T, so `invertible` (chi(0)
+    nonzero) is known on construction, before anything is factored, and
+    callers can reject a singular map first.  On first use chi is
+    factored once, one Yun squarefree part at a time (with `seed` and
+    `degree_limit`, as in `factor`).  For each p^e exactly dividing chi,
+    the multiplicities of the divisors p^k are read off the kernel
+    dimensions of the powers of p(T) on W = ker p(T)^e; the summands are
+    built from those kernels when first asked for.
     """
 
     def __init__(self, T: Matrix, seed: int = 0,
@@ -248,29 +222,56 @@ class ModuleStructure:
         self.T = T
         self.seed = seed
         self.degree_limit = degree_limit
-        diag, self._pinv = smith_normal_form(_char_matrix(T), track=True)
-        assert all(not d.is_zero() for d in diag)
-        self.invariant_factors = diag
-        self.invertible = not any(T.field.is_zero(d.constant_term())
-                                  for d in diag)
+        self.char_poly = char_poly(T)
+        self.invertible = not T.field.is_zero(self.char_poly.constant_term())
+        self._primary = {}
 
     @cached_property
-    def factorizations(self):
-        """[(index, d, factor(d))] for each nonconstant invariant factor d."""
-        return [(idx, d, factor(d, seed=self.seed,
-                                degree_limit=self.degree_limit))
-                for idx, d in enumerate(self.invariant_factors)
-                if d.degree >= 1]
+    def factorization(self):
+        """[(p, e)] with p^e exactly dividing chi, by p."""
+        pairs = [(p, e * m) for g, m in _squarefree(self.char_poly)
+                 for p, e in factor(g, self.seed, self.degree_limit)]
+        return sorted(pairs, key=lambda t: t[0].sort_key())
+
+    def primary(self, p: Poly, e: int):
+        """(B, S, N, K) for W = ker p(T)^e: B its basis as columns (None
+        when W = V), S = T on W, N = p(S), and K[j] a basis of ker N^j,
+        j = 0, 1, ... up to the first j with ker N^j = W."""
+        if (p, e) not in self._primary:
+            T = self.T
+            B, S = None, T
+            if p.degree * e != T.nrows:
+                # ker p(T)^e = ker p(T)^(2^a) for any 2^a >= e
+                P, a = eval_poly_at_matrix(p, T), 1
+                while a < e:
+                    P, a = P * P, 2 * a
+                B = Matrix.from_cols(T.field, P.kernel_basis())
+                S = restriction(T, B)
+            N = P = eval_poly_at_matrix(p, S)
+            K = [[], N.kernel_basis()]
+            while len(K[-1]) < S.nrows:
+                P = P * N
+                K.append(P.kernel_basis())
+            self._primary[(p, e)] = B, S, N, K
+        return self._primary[(p, e)]
+
+    def _counts(self, p, e):
+        """{k: multiplicity of p^k}; p^1 once when e = 1, with no linear
+        algebra.  The number of blocks of size >= j is
+        (dim ker N^j - dim ker N^(j-1)) / deg p."""
+        if e == 1:
+            return {1: 1}
+        dims = [len(basis) // p.degree for basis in self.primary(p, e)[3]]
+        at_least = [b - a for a, b in zip(dims, dims[1:])] + [0]
+        return {k: m for k, m in enumerate(
+            (a - b for a, b in zip(at_least, at_least[1:])), 1) if m}
 
     @cached_property
     def elementary_divisors(self):
         """Complete multiset of elementary divisors, deterministically
         ordered."""
-        counts: dict = {}
-        for _, _, fac in self.factorizations:
-            for p, k in fac:
-                counts[(p, k)] = counts.get((p, k), 0) + 1
-        divisors = [ElementaryDivisor(p, k, m) for (p, k), m in counts.items()]
+        divisors = [ElementaryDivisor(p, k, m) for p, e in self.factorization
+                    for k, m in self._counts(p, e).items()]
         divisors.sort(key=ElementaryDivisor.sort_key)
         assert sum(d.dim for d in divisors) == self.T.nrows
         return divisors
@@ -279,29 +280,42 @@ class ModuleStructure:
     def summands(self):
         """T-cyclic summands, one per elementary divisor copy.
 
-        Generators come from the tracked Smith transform projected to
-        each invariant-factor summand, then separated along the coprime
-        factorization of the annihilator.  The direct-sum property is
-        verified exactly before returning.
+        The generators of the p^k summands are taken greedily from the
+        basis of ker N^k, each independent modulo ker N^(k-1) + N ker
+        N^(k+1) and the F[x]/(p)-lines v, Sv, ..., S^(deg p - 1) v of
+        those already taken (the cyclic decomposition theorem, Hoffman &
+        Kunze, Linear Algebra, 7.2); each is expanded to its power basis
+        under T.  The direct-sum property is verified exactly before
+        returning.
         """
         T = self.T
         F = T.field
         n = T.nrows
-        pinv = self._pinv
         summands = []
-        for idx, d, fac in self.factorizations:
-            # generator sum_j pinv[j][idx](T) e_j = sum_k T^k u_k, where
-            # u_k holds the x^k coefficients of transform column idx
-            column = [pinv[j][idx] for j in range(n)]
-            deg = max(e.degree for e in column)
-            gen = krylov_sum(T, [tuple(e.coeff(k) for e in column)
-                                 for k in range(deg + 1)])
-            assert all(F.is_zero(c) for c in poly_apply(d, T, gen)), \
-                "generator not annihilated by its invariant factor"
-            for p, k in fac:
-                w = poly_apply(d // p ** k, T, gen)
+        for p, e in self.factorization:
+            if e == 1:
+                # W = ker p(T) is one cyclic summand, generated by any
+                # nonzero vector of it
+                w = eval_poly_at_matrix(p, T).kernel_basis()[0]
                 summands.append(IndecomposableSummand(
-                    p, k, 0, krylov_basis(T, w, p.degree * k)))
+                    p, 1, 0, krylov_basis(T, w, p.degree)))
+                continue
+            B, S, N, K = self.primary(p, e)
+            d, top = p.degree, len(K) - 1
+            for k, m in self._counts(p, e).items():
+                # ker N^(k-1) + N ker N^(k+1), then the candidate lines; a
+                # line is independent of what precedes it iff its first
+                # vector is, so each pivot there marks a generator
+                base = K[k - 1] + [N.apply(u) for u in K[min(k + 1, top)]]
+                lines = [w for v in K[k] for w in krylov_basis(S, v, d).cols()]
+                pivots = set(_rref(Matrix.from_cols(F, base + lines))[1])
+                gens = [v for i, v in enumerate(K[k])
+                        if len(base) + i * d in pivots]
+                assert len(gens) == m, "generator count != multiplicity"
+                for v in gens:
+                    w = v if B is None else B.apply(v)
+                    summands.append(IndecomposableSummand(
+                        p, k, 0, krylov_basis(T, w, d * k)))
         summands.sort(key=lambda s: (s.p.degree, s.p.coeffs, s.k))
         counters: dict = {}
         for s in summands:
@@ -315,6 +329,26 @@ class ModuleStructure:
             for s in summands:
                 restriction(T, s.basis)   # raises Singular unless invariant
         return summands
+
+
+def invariant_factors(T: Matrix):
+    """Monic invariant factors d_1 | ... | d_n of xI - T (constants
+    included): the j-th largest is the product over p of the j-th
+    largest power p^k among the elementary divisors."""
+    out = [Poly.one(T.field)] * T.nrows
+    slot = {}
+    for d in reversed(ModuleStructure(T).elementary_divisors):
+        for _ in range(d.multiplicity):
+            slot[d.p] = j = slot.get(d.p, T.nrows) - 1
+            out[j] = out[j] * d.p ** d.k
+    return out
+
+
+def min_poly(T: Matrix) -> Poly:
+    """Monic minimal polynomial: the largest invariant factor of xI - T
+    (1 for the 0 x 0 matrix)."""
+    diag = invariant_factors(T)
+    return diag[-1] if diag else Poly.one(T.field)
 
 
 def elementary_divisors(T: Matrix, seed: int = 0,

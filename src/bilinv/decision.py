@@ -151,12 +151,21 @@ def decide_infinitesimal_form(S: Matrix, symmetry: str,
 
 @dataclass(slots=True)
 class RealityReport:
-    """Is T conjugate to its inverse, and the symmetric/skew splitting."""
+    """Is T conjugate to its inverse, and the symmetric/skew splitting.
+    Each part keeps its basis one row per basis vector, as
+    `OrthogonalSummand` does."""
 
     is_real: bool
     mismatches: list                    # (divisor of T, divisor of T^-1 | None)
-    splitting: tuple = None             # (basis_1, basis_2) or None
+    parts: tuple = None                 # (vectors_1, vectors_2) or None
     divisors: list = dc_field(default_factory=list)
+
+    @property
+    def splitting(self):
+        """(basis_1, basis_2) as n x dim column matrices, or None."""
+        if self.parts is None:
+            return None
+        return tuple(v.transpose() for v in self.parts)
 
     def to_json(self):
         out = {
@@ -167,12 +176,12 @@ class RealityReport:
                      (m.multiplicity if m is not None else 0)}
                 for d, m in self.mismatches],
         }
-        if self.splitting is not None:
-            b1, b2 = self.splitting
+        if self.parts is not None:
+            v1, v2 = self.parts
             out["splitting"] = {
-                "symmetric_part": b1.transpose().to_str_rows(),
-                "skew_part": b2.transpose().to_str_rows(),
-                "dims": [b1.ncols, b2.ncols],
+                "symmetric_part": v1.to_str_rows(),
+                "skew_part": v2.to_str_rows(),
+                "dims": [v1.nrows, v2.nrows],
             }
         return out
 
@@ -204,17 +213,12 @@ def decide_real(T: Matrix, seed: int = 0,
     report = RealityReport(not mismatches, mismatches, divisors=div_T)
     F = T.field
     if report.is_real and F.char_exceeds(T.nrows):
-        sym_cols, skew_cols = [], []
+        sym_rows, skew_rows = [], []
         for s in structure.summands:
             if rule.special_factor(s.p) is not None and s.k % 2 == 0:
-                skew_cols.extend(s.basis.cols())
+                skew_rows.extend(s.basis.cols())
             else:
-                sym_cols.extend(s.basis.cols())
-
-        def to_matrix(cols):
-            if not cols:
-                return Matrix(F, [[] for _ in range(T.nrows)], coerce=False)
-            return Matrix.from_cols(F, cols)
-
-        report.splitting = (to_matrix(sym_cols), to_matrix(skew_cols))
+                sym_rows.extend(s.basis.cols())
+        report.parts = tuple(Matrix(F, rows, coerce=False, ncols=T.nrows)
+                             for rows in (sym_rows, skew_rows))
     return report

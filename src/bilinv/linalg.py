@@ -1,20 +1,20 @@
 """Dense exact matrices over Q or F_p, and the solvers built on them.
 
-Matrices are immutable row-major tuples of raw scalars sharing one field.
-Over Q the products, the elimination and Horner on vectors run on
-integers over one denominator: each row, column or vector is cleared
-with one lcm of its denominators (`_clear`), inner products are taken on
-Python ints, and one Fraction is built per output entry, so no gcd is
-paid per scalar operation.  Elimination is fraction-free Gauss-Jordan
-with per-row content removal and one division by the pivot at the end;
+Matrices are immutable row-major tuples of raw scalars sharing one field;
+a matrix with no rows keeps the width it was made with, so a 0 x n
+matrix transposes to n x 0.  Over Q the products and the elimination run
+on integers over one denominator: each row or column is cleared with one
+lcm of its denominators (`_clear`), inner products are taken on Python
+ints, and one Fraction is built per output entry, so no gcd is paid per
+scalar operation.  Elimination is fraction-free Gauss-Jordan with
+per-row content removal and one division by the pivot at the end;
 determinants are fraction-free Bareiss on the cleared rows.  Over F_p
 the same operations run on residues with the field's methods.
 
-The characteristic polynomial is the Bareiss determinant of xI - T
-computed with polynomial entries, which works in every characteristic; a
-Faddeev-LeVerrier route is kept alongside as an independent cross-check
-for small sizes.  Horner on vectors (`krylov_sum`, `poly_apply`) applies
-sum_k T^k u_k or f(T) to a vector with matrix-vector products only.
+The characteristic polynomial comes from reduction to upper Hessenberg
+form by similarity (Cohen, Alg. 2.2.9), which works in every
+characteristic; a Faddeev-LeVerrier route is kept alongside as an
+independent cross-check for small sizes.
 """
 
 import math
@@ -23,7 +23,7 @@ from operator import mul
 
 from .errors import NotSquare, Singular
 from .fields import Field, RationalField
-from .poly import Poly
+from .poly import Poly, _axpy
 
 
 class Matrix:
@@ -31,14 +31,18 @@ class Matrix:
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field: Field, rows, coerce: bool = True):
+    def __init__(self, field: Field, rows, coerce: bool = True,
+                 ncols: int = 0):
+        """`ncols` is the width of a matrix with no rows; otherwise the
+        width is that of the rows."""
         if coerce:
-            rows = tuple(tuple(field.coerce(c) for c in row) for row in rows)
+            rows = tuple([tuple([field.coerce(c) for c in row])
+                          for row in rows])
         else:
-            rows = tuple(tuple(row) for row in rows)
+            rows = tuple([tuple(row) for row in rows])
         self.field = field
         self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
+        self.ncols = len(rows[0]) if rows else ncols
         if any(len(r) != self.ncols for r in rows):
             raise ValueError("ragged rows")
         self.rows = rows
@@ -54,7 +58,8 @@ class Matrix:
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], coerce=False)
+        return cls(field, [[z] * ncols for _ in range(nrows)], coerce=False,
+                   ncols=ncols)
 
     @classmethod
     def diagonal(cls, field, entries) -> "Matrix":
@@ -66,7 +71,7 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field, cols) -> "Matrix":
-        return cls(field, list(zip(*cols)))
+        return cls(field, list(zip(*cols)), ncols=len(cols))
 
     @classmethod
     def companion(cls, f: Poly) -> "Matrix":
@@ -117,7 +122,7 @@ class Matrix:
         return self.rows[i][j]
 
     def col(self, j: int):
-        return tuple(r[j] for r in self.rows)
+        return tuple([r[j] for r in self.rows])
 
     def cols(self):
         return [self.col(j) for j in range(self.ncols)]
@@ -165,15 +170,16 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("incompatible shapes for multiplication")
         F = self.field
+        bt = other.transpose().rows
         if F.p is None:
-            cols = [_clear(col) for col in zip(*other.rows)]
+            cols = [_clear(col) for col in bt]
             return Matrix(F, [[Fraction(sum(map(mul, a, b)), da * db)
                                for b, db in cols]
                               for a, da in map(_clear, self.rows)],
-                          coerce=False)
-        bt = list(zip(*other.rows))
+                          coerce=False, ncols=other.ncols)
         return Matrix(F, [[F.dot(row, col) for col in bt]
-                          for row in self.rows], coerce=False)
+                          for row in self.rows], coerce=False,
+                      ncols=other.ncols)
 
     def scale(self, c) -> "Matrix":
         F = self.field
@@ -196,7 +202,8 @@ class Matrix:
         return out
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)), coerce=False)
+        return Matrix(self.field, list(zip(*self.rows)) or [()] * self.ncols,
+                      coerce=False, ncols=self.nrows)
 
     def trace(self):
         F = self.field
@@ -210,9 +217,9 @@ class Matrix:
         F = self.field
         if F.p is None:
             v, dv = _clear(vec)
-            return tuple(Fraction(sum(map(mul, a, v)), da * dv)
-                         for a, da in map(_clear, self.rows))
-        return tuple(F.dot(row, vec) for row in self.rows)
+            return tuple([Fraction(sum(map(mul, a, v)), da * dv)
+                          for a, da in map(_clear, self.rows)])
+        return tuple([F.dot(row, vec) for row in self.rows])
 
     def is_zero(self) -> bool:
         F = self.field
@@ -222,12 +229,12 @@ class Matrix:
         self._check(other)
         return Matrix(self.field,
                       [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-                      coerce=False)
+                      coerce=False, ncols=self.ncols + other.ncols)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return Matrix(self.field,
                       [[self.rows[i][j] for j in col_idx] for i in row_idx],
-                      coerce=False)
+                      coerce=False, ncols=len(col_idx))
 
     def to_str_rows(self):
         return [[self.field.to_str(c) for c in row] for row in self.rows]
@@ -298,7 +305,7 @@ class Matrix:
         for r, c in enumerate(pivots):
             for j in range(rhs.ncols):
                 rows[c][j] = R.rows[r][self.ncols + j]
-        return Matrix(F, rows, coerce=False)
+        return Matrix(F, rows, coerce=False, ncols=rhs.ncols)
 
 
 def _clear(xs):
@@ -453,41 +460,47 @@ def det_cofactor(M: Matrix):
 def char_poly(T: Matrix) -> Poly:
     """Monic characteristic polynomial det(xI - T).
 
-    Fraction-free elimination on the polynomial matrix xI - T; the exact
-    divisions happen in F[x], so this is valid in every characteristic.
+    Reduces T to upper Hessenberg form H by similarity, then runs the
+    recurrence for the characteristic polynomials of the leading principal
+    submatrices of H (Cohen, Alg. 2.2.9); valid in every characteristic.
     """
     if not T.is_square:
         raise NotSquare("characteristic polynomial of a non-square matrix")
     F = T.field
     n = T.nrows
-    if n == 0:
-        return Poly.one(F)
-    A = [[Poly(F, ([F.neg(T.rows[i][j])] if i != j
-                   else [F.neg(T.rows[i][j]), F.one]))
-          for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = Poly.one(F)
-    for k in range(n - 1):
-        if A[k][k].is_zero():
-            pr = next((i for i in range(k + 1, n) if not A[i][k].is_zero()),
-                      None)
-            if pr is None:
-                return Poly.zero(F)
-            A[k], A[pr] = A[pr], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = A[i][j] * A[k][k] - A[i][k] * A[k][j]
-                q, r = divmod(num, prev)
-                assert r.is_zero(), "inexact division in fraction-free step"
-                A[i][j] = q
-            A[i][k] = Poly.zero(F)
-        prev = A[k][k]
-    chi = A[n - 1][n - 1]
-    if sign < 0:
-        chi = -chi
-    assert chi.is_monic() and chi.degree == n
-    return chi
+    H = [list(r) for r in T.rows]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if not F.is_zero(H[i][m - 1])),
+                 None)
+        if i is None:
+            continue
+        if i != m:
+            H[i], H[m] = H[m], H[i]
+            for row in H:
+                row[i], row[m] = row[m], row[i]
+        inv = F.inv(H[m][m - 1])
+        for i in range(m + 1, n):
+            u = F.mul(H[i][m - 1], inv)
+            if not F.is_zero(u):
+                # row_i -= u row_m, then col_m += u col_i
+                H[i] = [F.sub(a, F.mul(u, b)) for a, b in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = F.add(row[m], F.mul(u, row[i]))
+    # chi_k = det(xI - H[:k, :k]) on raw coefficient lists
+    p, zero = F.p, F.zero
+    chis = [[F.one]]
+    for k in range(n):
+        acc = _axpy((), [F.neg(H[k][k]), F.one], chis[k], p, zero)
+        t = F.one
+        for i in range(1, k + 1):
+            t = F.mul(t, H[k - i + 1][k - i])
+            if F.is_zero(t):
+                break
+            c = F.mul(t, H[k - i][k])
+            if not F.is_zero(c):
+                acc = _axpy(acc, [F.neg(c)], chis[k - i], p, zero)
+        chis.append(acc)
+    return Poly(F, tuple(chis[n]), normalize=False)
 
 
 def char_poly_faddeev(T: Matrix) -> Poly:
@@ -513,62 +526,17 @@ def char_poly_faddeev(T: Matrix) -> Poly:
 
 
 def eval_poly_at_matrix(f: Poly, T: Matrix) -> Matrix:
-    """f(T) as a matrix, by Horner's rule (one product per coefficient).
-
-    Callers that need only f(T) v for a vector v apply it by Horner on
-    vectors instead (see `canonical`), which costs matrix-vector rather
-    than matrix products.
-    """
+    """f(T) as a matrix by Horner's rule, starting from lc(f) T + f_(d-1) I:
+    deg f - 1 matrix products."""
     T.field.require_same(f.field)
     F = T.field
-    n = T.nrows
-    acc = Matrix.zeros(F, n, n)
-    for c in reversed(f.coeffs):
-        acc = acc * T if not acc.is_zero() else acc
-        acc = acc + Matrix.identity(F, n).scale(c)
+    ident = Matrix.identity(F, T.nrows)
+    if f.degree < 1:
+        return ident.scale(f.coeff(0))
+    acc = T.scale(f.lc) + ident.scale(f.coeffs[-2])
+    for c in reversed(f.coeffs[:-2]):
+        acc = acc * T + ident.scale(c)
     return acc
-
-
-# --- Horner on vectors -----------------------------------------------------------
-
-def _horner_q(T: Matrix, terms):
-    """sum_k T^k u_k over Q, u_k = ints / d given as terms[k] = (ints, d),
-    on one integer vector over a running denominator; T = R / dT is
-    cleared once."""
-    flat, dT = _clear([x for row in T.rows for x in row])
-    n = T.ncols
-    R = [flat[i:i + n] for i in range(0, len(flat), n)]
-    acc, D = terms[-1]
-    for w, dw in reversed(terms[:-1]):
-        acc = [sum(map(mul, row, acc)) for row in R]
-        D *= dT
-        L = math.lcm(D, dw)
-        s, t = L // D, L // dw
-        acc = [s * x + t * y for x, y in zip(acc, w)]
-        D = L
-    return tuple(Fraction(x, D) for x in acc)
-
-
-def krylov_sum(T: Matrix, vecs):
-    """sum_k T^k vecs[k] by Horner on vectors: one matrix-vector product
-    per term instead of a power of T."""
-    F = T.field
-    if F.p is None:
-        return _horner_q(T, [_clear(u) for u in vecs])
-    acc = vecs[-1]
-    for u in reversed(vecs[:-1]):
-        acc = tuple(F.add(a, b) for a, b in zip(T.apply(acc), u))
-    return acc
-
-
-def poly_apply(f: Poly, T: Matrix, v):
-    """f(T) v by Horner on vectors (f nonzero)."""
-    F = T.field
-    if F.p is None:
-        w, d = _clear(v)
-        return _horner_q(T, [([c.numerator * x for x in w],
-                              c.denominator * d) for c in f.coeffs])
-    return krylov_sum(T, [tuple(F.mul(c, x) for x in v) for c in f.coeffs])
 
 
 def restriction(T: Matrix, basis_cols: Matrix) -> Matrix:

@@ -7,6 +7,8 @@ from bilinv.canonical import (ModuleStructure, _char_matrix,
                               elementary_divisors, divisor_multiset,
                               indecomposable_decomposition, invariant_factors,
                               min_poly, smith_normal_form)
+from bilinv.certificates import SYMMETRIC
+from bilinv.decision import decide_invariant_form
 from bilinv.fields import PrimeField, QQ, RationalField
 from bilinv.linalg import Matrix, char_poly, eval_poly_at_matrix
 from bilinv.poly import Poly, dual_poly, factor
@@ -210,6 +212,24 @@ def test_elementary_divisors_degree_limit_propagates():
         elementary_divisors(T)
     divs = elementary_divisors(T, degree_limit=30)
     assert sum(d.dim for d in divs) == 26
+
+
+def test_degree_limit_caps_squarefree_parts():
+    # chi = prod (x - l)^2 over 13 eigenvalues: each minimal polynomial of
+    # degree 26 is above the cap, but only its degree-13 squarefree part
+    # is factored
+    from bilinv.errors import DegreeLimit
+    T = Matrix.block_diagonal(QQ, [Matrix.jordan_block(QQ, lam, 2)
+                                   for lam in range(2, 15)])
+    assert T.nrows == 26
+    divs = elementary_divisors(T)
+    assert sorted((d.p.to_str(), d.k, d.multiplicity) for d in divs) == \
+        sorted((f"x - {lam}", 2, 1) for lam in range(2, 15))
+    assert decide_invariant_form(T, SYMMETRIC).exists is False
+    # a squarefree characteristic polynomial of degree 26 still raises
+    C = Matrix.companion(Poly.parse(QQ, "x^26 - 3"))
+    with pytest.raises(DegreeLimit):
+        decide_invariant_form(C, SYMMETRIC)
 
 
 def test_inverse_divisors_are_duals():

@@ -199,4 +199,4 @@ def test_one_structure_per_call(monkeypatch):
     for call in calls:
         counts.update(smith=0, char_poly=0)
         call()
-        assert counts == {"smith": 1, "char_poly": 0}
+        assert counts == {"smith": 0, "char_poly": 1}

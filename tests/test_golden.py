@@ -94,39 +94,38 @@ INSTANCES = {
 }
 
 # sha256 of (smith JSON, certificate JSON).  The Smith digests were
-# computed before the Smith form moved to raw coefficient lists.  The
-# certificate digests were recomputed when every self-dual block, the
-# x -+ 1 and x blocks of natural parity included, moved to the one
-# closed-form functional on the power basis; the only instance left
-# unchanged by that move is q-infinitesimal-symmetric, whose x^3 Gram is
-# the same in both constructions.  The two q10 instances were added, with
-# digests computed before the Q matrix products and elimination moved to
-# integers over one denominator, to pin that move byte for byte.
+# computed before the Smith form moved to raw coefficient lists, and the
+# Smith form is now only the reference for the invariant factors.  The
+# certificate digests were recomputed when the summand generators moved
+# from the tracked Smith transform to reduced bases of the kernels of
+# p(T)^k (the decisions and divisors did not change, the Gram witnesses
+# did).  The two q10 instances pin the Q products and elimination on
+# integers over one denominator.
 GOLDEN = {
     "fp101-infinitesimal-skew": (
         "06f577fa4bf748601467a71754d182957da06586d3f3accd4deb16038841a6e5",
-        "dedf409ac6224941d401ea894cd7338826b7c60ae8d42d29e84d9f66d805ce9a"),
+        "de1246ec6a06fec7162c53013be97f17f7238b51a068dae2ef8878863e73699f"),
     "fp101-invariant-symmetric": (
         "673582d3d2d6b6bfd77e8705534ca263c197721a493474a8c6946b447e5c7363",
-        "49fe3b903788e09131b55f4a4a32d5304b8ef0f67039f3d4f4260257296f54c6"),
+        "e51c6d17fc85bd9addebec3bc708c260c07125600b9c43208fd76fa214539838"),
     "fp257-invariant-skew": (
         "e6c9162587377886430174d780c7f6d29abb34d36389b84476e28c1524cd37dd",
-        "faf744f4269b9e256776a191f524fe7085c3230434e2d8a6ede88319530c14e4"),
+        "782c8738fed03729a829669fb10903913305a754429d62e41b2e2b47e3434518"),
     "fp257-invariant-symmetric-repeated": (
         "eaa21b425bfa54bc336764784acd71c90b6435bbd7b0ed46c2534328d53650e3",
-        "2d207f178b599845bb215ea8b3fc4629982cc688814001512c7452e524ed2a26"),
+        "6fc56436a58d020f2a1720a1da70678681aab0303b6b29c667bb6c4ce8e29de6"),
     "q-infinitesimal-symmetric": (
         "39fb8d55cd7f4edb6af7ffb666b0e6935bc543ee428673697259070efe2e2a86",
-        "0df4aba2de6de08a14635963dcea415435c5942513b3a40ee939c1dc02a557db"),
+        "0f64e791f5ef0cfada04822a691e7329ef401affec272d5742fcb30112113cfd"),
     "q-invariant-symmetric": (
         "d1acf2eff4272a462a714c5a0655cc76d8e02ad29124ec909267243e77e4ef53",
-        "d2000f2275a9284bf2416939e834911e373084f7d7aee242e42676f3981c592b"),
+        "e80e54c595615bb9cbd1114be3b991671190a6f5fbe730942bc2bace7ba458aa"),
     "q10-invariant-skew": (
         "48c0c800e9d815339afd8f5ffe89ce670b1a3c37e0ac7acb25aca81af6b98e2d",
-        "df51caa8e7a86f247ce0cc04fd2ab1886ac976aefa42bf06271e44a29cadda2a"),
+        "0c90e23a523144ace834f5626c915071f36ac84490056054b0b1f2d1f67d4b15"),
     "q10-invariant-symmetric": (
         "a3487c72581d0e1251a45e69867747fdfe1e792d7e434ff044329f40a4f34abd",
-        "8abe1c4210bd79edc7aaffb9024009a07cc12f27629cdbf7be8f6db049c558e2"),
+        "a3a70c9e30a73bf036d80f6f6361dc5ae4a30d880efdf9edbc4ca27eadb9e3db"),
 }
 
 
@@ -154,6 +153,46 @@ def golden_digests(name):
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_golden_outputs(name):
     assert golden_digests(name) == GOLDEN[name]
+
+
+def _bits(M) -> int:
+    return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+               for row in M.rows for x in row)
+
+
+def _unimodular_conjugate(T0, seed):
+    """g T0 g^-1 for g a product of integer elementary matrices I + c E_ij
+    with c in {-1, 0, 1}, so T keeps small integer entries."""
+    rng = random.Random(seed)
+    n = T0.nrows
+    g = ginv = Matrix.identity(QQ, n)
+    for i in range(n):
+        for j in range(n):
+            c = rng.randrange(-1, 2)
+            if i != j and c:
+                E, Einv = ([[int(a == b) for b in range(n)] for a in range(n)]
+                           for _ in range(2))
+                E[i][j], Einv[i][j] = c, -c
+                g, ginv = g * Matrix(QQ, E), Matrix(QQ, Einv) * ginv
+    return g * T0 * ginv
+
+
+@pytest.mark.parametrize("name", ["q10-invariant-skew",
+                                  "q10-invariant-symmetric"])
+def test_q10_witness_entries_stay_small(name):
+    field, spec, seed, construct, symmetry = INSTANCES[name]
+    T0 = _blocks(field, spec)
+    # the golden rational conjugates have 34 and 37 bit entries, and the
+    # Gram on each primary component carries the projection onto it
+    # (31-36 bit entries) twice: 49 and 93 bits, where generators read
+    # off the tracked Smith transform gave 6189 and 7011
+    T = _conjugate(field, T0, seed)
+    assert _bits(construct(T, symmetry).gram) <= 3 * _bits(T)
+    # integer conjugates of the size of the benchmark's q-construct inputs
+    for conj_seed in range(3):
+        T = _unimodular_conjugate(T0, conj_seed)
+        assert _bits(T) <= 11
+        assert _bits(construct(T, symmetry).gram) <= 64
 
 
 if __name__ == "__main__":

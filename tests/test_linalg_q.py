@@ -1,8 +1,9 @@
 """Property tests of the Q matrix paths, which run on integers over one
 denominator, against plain-Fraction references kept here: a schoolbook
-product, a textbook Gauss-Jordan RREF, and sum_k T^k u_k by matrix
+product, a textbook Gauss-Jordan RREF, and f(T) and T^k v by matrix
 powers.  Inputs mix positive and negative denominators, large and small
-numerators, zero rows, and the shapes 0 x 0, n x 0 and 1 x n.
+numerators, zero rows, and the shapes 0 x 0, n x 0, 0 x n and 1 x n;
+a matrix with no rows keeps the width it was made with.
 """
 
 import random
@@ -19,8 +20,8 @@ from bilinv.construction import (_share_transpose,  # noqa: E402
 from bilinv.errors import Singular  # noqa: E402
 from bilinv.fields import QQ  # noqa: E402
 from bilinv.canonical import krylov_basis  # noqa: E402
-from bilinv.linalg import (Matrix, det_cofactor, krylov_sum,  # noqa: E402
-                           poly_apply)
+from bilinv.linalg import (Matrix, det_cofactor,  # noqa: E402
+                           eval_poly_at_matrix)
 from bilinv.poly import Poly  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60,
@@ -45,7 +46,7 @@ def raw_rows(draw, nrows, ncols):
 def matrices(draw, max_rows=4, max_cols=4):
     nrows = draw(st.integers(0, max_rows))
     ncols = draw(st.integers(0, max_cols))
-    return Matrix(QQ, draw(raw_rows(nrows, ncols)))
+    return Matrix(QQ, draw(raw_rows(nrows, ncols)), ncols=ncols)
 
 
 @st.composite
@@ -56,16 +57,11 @@ def square_matrices(draw, max_n=4):
 
 # --- plain-Fraction references ---------------------------------------------
 
-def schoolbook(a, b, inner):
-    return [[sum((row[t] * col[t] for t in range(inner)), Fraction(0))
-             for col in zip(*b)] if b else [] for row in a]
-
-
 def ref_mul(A, B):
-    out = schoolbook(A.rows, B.rows, A.ncols)
-    if not B.rows:     # A is n x 0 and the product is n x 0
-        out = [[] for _ in A.rows]
-    return out
+    """Schoolbook product; n x 0 times 0 x k is the n x k zero matrix."""
+    return [[sum((A.rows[i][t] * B.rows[t][j] for t in range(A.ncols)),
+                 Fraction(0)) for j in range(B.ncols)]
+            for i in range(A.nrows)]
 
 
 def ref_rref(rows, ncols):
@@ -103,7 +99,7 @@ def ref_power_apply(T, k, u):
 def test_product_and_apply_match_schoolbook(data):
     A = data.draw(matrices())
     k = data.draw(st.integers(0, 4))
-    B = Matrix(QQ, data.draw(raw_rows(A.ncols, k)))
+    B = Matrix(QQ, data.draw(raw_rows(A.ncols, k)), ncols=k)
     assert [list(r) for r in (A * B).rows] == ref_mul(A, B)
     v = data.draw(st.lists(scalars, min_size=A.ncols, max_size=A.ncols))
     assert list(A.apply(tuple(v))) == [
@@ -162,9 +158,7 @@ def test_inverse_and_det_match_references(A):
 def test_solve_right_matches_textbook_rref(data):
     A = data.draw(matrices())
     m = data.draw(st.integers(1, 3))
-    rhs = Matrix(QQ, data.draw(raw_rows(A.nrows, m)))
-    if A.nrows == 0:
-        return
+    rhs = Matrix(QQ, data.draw(raw_rows(A.nrows, m)), ncols=m)
     R_ref, piv_ref = ref_rref([r + s for r, s in zip(A.rows, rhs.rows)],
                               A.ncols + m)
     if any(c >= A.ncols for c in piv_ref):
@@ -176,8 +170,8 @@ def test_solve_right_matches_textbook_rref(data):
     for r, c in enumerate(piv_ref):
         expected[c] = R_ref[r][A.ncols:]
     assert [list(r) for r in X.rows] == expected
-    if A.ncols:     # a 0-row X keeps no column count, so A * X is n x 0
-        assert A * X == rhs
+    assert (X.nrows, X.ncols) == (A.ncols, m)
+    assert A * X == rhs and (A * X).ncols == m
 
 
 def test_singular_raised():
@@ -192,27 +186,19 @@ def test_singular_raised():
 
 @PROPERTY
 @given(st.data())
-def test_krylov_sum_and_poly_apply_match_matrix_powers(data):
+def test_poly_at_matrix_and_krylov_basis_match_matrix_powers(data):
     T = data.draw(square_matrices(max_n=4))
     n = T.nrows
-    if n == 0:
-        return
-    vec = st.lists(scalars, min_size=n, max_size=n).map(tuple)
-    us = data.draw(st.lists(vec, min_size=1, max_size=4))
-    expected = [Fraction(0)] * n
-    for k, u in enumerate(us):
-        expected = [a + b for a, b in
-                    zip(expected, ref_power_apply(T, k, u))]
-    assert list(krylov_sum(T, us)) == expected
-    v = data.draw(vec)
-    f = Poly(QQ, data.draw(st.lists(scalars, min_size=1, max_size=4)))
-    if f.is_zero():
-        return
-    expected = [Fraction(0)] * n
-    for k, c in enumerate(f.coeffs):
-        expected = [a + c * b for a, b in
-                    zip(expected, ref_power_apply(T, k, v))]
-    assert list(poly_apply(f, T, v)) == expected
+    f = Poly(QQ, data.draw(st.lists(scalars, min_size=0, max_size=4)))
+    expected = []
+    for j in range(n):
+        e = [Fraction(int(i == j)) for i in range(n)]
+        col = [Fraction(0)] * n
+        for k, c in enumerate(f.coeffs):
+            col = [a + c * b for a, b in zip(col, ref_power_apply(T, k, e))]
+        expected.append(tuple(col))
+    assert eval_poly_at_matrix(f, T).cols() == expected
+    v = data.draw(st.lists(scalars, min_size=n, max_size=n).map(tuple))
     r = data.draw(st.integers(1, 4))
     assert krylov_basis(T, v, r).cols() == [
         tuple(ref_power_apply(T, k, v)) for k in range(r)]

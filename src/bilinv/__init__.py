@@ -21,7 +21,7 @@ from .decision import (DecisionReport, ObstructionRecord, RealityReport,
 from .fields import PrimeField, QQ, RationalField
 from .isometry import (LevelReport, OrthogonalSummandReport, level_analysis,
                        orthogonal_decomposition, witt_index)
-from .linalg import Matrix, char_poly, char_poly_faddeev
+from .linalg import Matrix, char_poly
 from .oracle import (InvariantFormSpace, brute_force_reality,
                      find_nondegenerate, solve_form_space)
 from .poly import (Factorization, Poly, additive_dual_poly, dual_poly, factor,

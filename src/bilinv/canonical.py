@@ -26,7 +26,7 @@ from .errors import NotSquare
 from .linalg import (Matrix, _rref, char_poly, eval_poly_at_matrix,
                      restriction)
 from .poly import (DEFAULT_DEGREE_LIMIT, Poly, _axpy, _divmod, _scale,
-                   _squarefree, additive_dual_poly, dual_poly, factor)
+                   additive_dual_poly, dual_poly, factor)
 
 
 # --- Smith normal form over F[x] -------------------------------------------
@@ -208,11 +208,11 @@ class ModuleStructure:
     Holds the characteristic polynomial chi of T, so `invertible` (chi(0)
     nonzero) is known on construction, before anything is factored, and
     callers can reject a singular map first.  On first use chi is
-    factored once, one Yun squarefree part at a time (with `seed` and
-    `degree_limit`, as in `factor`).  For each p^e exactly dividing chi,
-    the multiplicities of the divisors p^k are read off the kernel
-    dimensions of the powers of p(T) on W = ker p(T)^e; the summands are
-    built from those kernels when first asked for.
+    factored once by `factor` (with `seed` and `degree_limit`; over Q the
+    cap applies to each Yun squarefree part).  For each p^e exactly
+    dividing chi, the multiplicities of the divisors p^k are read off the
+    kernel dimensions of the powers of p(T) on W = ker p(T)^e; the
+    summands are built from those kernels when first asked for.
     """
 
     def __init__(self, T: Matrix, seed: int = 0,
@@ -229,9 +229,7 @@ class ModuleStructure:
     @cached_property
     def factorization(self):
         """[(p, e)] with p^e exactly dividing chi, by p."""
-        pairs = [(p, e * m) for g, m in _squarefree(self.char_poly)
-                 for p, e in factor(g, self.seed, self.degree_limit)]
-        return sorted(pairs, key=lambda t: t[0].sort_key())
+        return list(factor(self.char_poly, self.seed, self.degree_limit))
 
     def primary(self, p: Poly, e: int):
         """(B, S, N, K) for W = ker p(T)^e: B its basis as columns (None

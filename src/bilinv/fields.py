@@ -12,8 +12,17 @@ coerce every entry on construction, so scalars of different fields never
 meet in arithmetic; cross-field container operations raise MixedFields.
 
 Scalar text form: ``"a/b"`` or ``"a"`` over Q, a decimal residue over F_p.
+
+Matrix kernels run on the integer form of a row of scalars, which each
+field provides: ``clear`` writes the row as integers over one
+denominator, ``reduce_row`` keeps an integer row small without changing
+the line it spans, and ``ratio`` turns an integer over an integer back
+into a scalar.  Over Q these are the lcm of the denominators, removal of
+the row's content and ``Fraction(n, d)``; over F_p, the residues over
+d = 1, reduction mod p and n * d^-1 mod p.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import MixedFields, ZeroInverse
@@ -71,7 +80,8 @@ class Field:
             raise MixedFields(f"cannot mix scalars of {self} and {other}")
 
     # subclasses provide: zero, one, coerce, add, sub, mul, neg, inv,
-    # div, is_zero, parse, to_str, dot
+    # div, is_zero, parse, to_str, dot, and the integer form of a row:
+    # clear, ratio, reduce_row
 
 
 class RationalField(Field):
@@ -118,6 +128,22 @@ class RationalField(Field):
 
     def dot(self, xs, ys):
         return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+
+    def clear(self, xs):
+        """xs as (ints, d) with xs[i] = ints[i] / d, d the lcm of their
+        denominators (1 for no scalars)."""
+        d = math.lcm(*[x.denominator for x in xs])
+        if d == 1:
+            return [x.numerator for x in xs], 1
+        return [x.numerator * (d // x.denominator) for x in xs], d
+
+    def ratio(self, n: int, d: int):
+        return Fraction(n, d)
+
+    def reduce_row(self, row):
+        """An integer row divided by the gcd of its entries."""
+        g = math.gcd(*row)
+        return [x // g for x in row] if g > 1 else row
 
     def parse(self, text: str):
         text = text.strip()
@@ -191,6 +217,18 @@ class PrimeField(Field):
 
     def dot(self, xs, ys):
         return sum(x * y for x, y in zip(xs, ys)) % self.p
+
+    def clear(self, xs):
+        """The residues xs as integers over d = 1."""
+        return list(xs), 1
+
+    def ratio(self, n: int, d: int):
+        return n % self.p if d == 1 else n * self.inv(d) % self.p
+
+    def reduce_row(self, row):
+        """An integer row reduced mod p."""
+        p = self.p
+        return [x % p for x in row]
 
     def parse(self, text: str):
         text = text.strip()

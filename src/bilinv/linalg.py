@@ -2,27 +2,27 @@
 
 Matrices are immutable row-major tuples of raw scalars sharing one field;
 a matrix with no rows keeps the width it was made with, so a 0 x n
-matrix transposes to n x 0.  Over Q the products and the elimination run
-on integers over one denominator: each row or column is cleared with one
-lcm of its denominators (`_clear`), inner products are taken on Python
-ints, and one Fraction is built per output entry, so no gcd is paid per
-scalar operation.  Elimination is fraction-free Gauss-Jordan with
-per-row content removal and one division by the pivot at the end;
-determinants are fraction-free Bareiss on the cleared rows.  Over F_p
-the same operations run on residues with the field's methods.
+matrix transposes to n x 0.  Products and elimination run on one integer
+path for both fields: each row or column is written as integers over one
+denominator by the field (`Field.clear`; over F_p the residues over 1),
+inner products are taken on Python ints, and the field turns each output
+integer over its denominator back into a scalar (`Field.ratio`).
+Elimination is fraction-free Gauss-Jordan, with each new row kept small
+by the field (`Field.reduce_row`: content removal over Q, reduction mod
+p over F_p) and one division by the pivot at the end; determinants are
+fraction-free Bareiss on the cleared rows (over F_p, on the integer lift
+of the residues, reduced mod p at the end).
 
 The characteristic polynomial comes from reduction to upper Hessenberg
 form by similarity (Cohen, Alg. 2.2.9), which works in every
-characteristic; a Faddeev-LeVerrier route is kept alongside as an
-independent cross-check for small sizes.
+characteristic.
 """
 
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import NotSquare, Singular
-from .fields import Field, RationalField
+from .fields import Field
 from .poly import Poly, _axpy
 
 
@@ -118,9 +118,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def col(self, j: int):
         return tuple([r[j] for r in self.rows])
 
@@ -170,16 +167,12 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("incompatible shapes for multiplication")
         F = self.field
-        bt = other.transpose().rows
-        if F.p is None:
-            cols = [_clear(col) for col in bt]
-            return Matrix(F, [[Fraction(sum(map(mul, a, b)), da * db)
-                               for b, db in cols]
-                              for a, da in map(_clear, self.rows)],
-                          coerce=False, ncols=other.ncols)
-        return Matrix(F, [[F.dot(row, col) for col in bt]
-                          for row in self.rows], coerce=False,
-                      ncols=other.ncols)
+        ratio = F.ratio
+        cols = [F.clear(col) for col in other.transpose().rows]
+        return Matrix(F, [[ratio(sum(map(mul, a, b)), da * db)
+                           for b, db in cols]
+                          for a, da in map(F.clear, self.rows)],
+                      coerce=False, ncols=other.ncols)
 
     def scale(self, c) -> "Matrix":
         F = self.field
@@ -187,39 +180,17 @@ class Matrix:
         return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows],
                       coerce=False)
 
-    def __pow__(self, e: int):
-        if not self.is_square:
-            raise NotSquare("matrix power needs a square matrix")
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = Matrix.identity(self.field, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.rows)) or [()] * self.ncols,
                       coerce=False, ncols=self.nrows)
 
-    def trace(self):
-        F = self.field
-        acc = F.zero
-        for i in range(min(self.nrows, self.ncols)):
-            acc = F.add(acc, self.rows[i][i])
-        return acc
-
     def apply(self, vec):
         """Matrix times a column vector (tuple of raw scalars)."""
         F = self.field
-        if F.p is None:
-            v, dv = _clear(vec)
-            return tuple([Fraction(sum(map(mul, a, v)), da * dv)
-                          for a, da in map(_clear, self.rows)])
-        return tuple([F.dot(row, vec) for row in self.rows])
+        ratio = F.ratio
+        v, dv = F.clear(vec)
+        return tuple([ratio(sum(map(mul, a, v)), da * dv)
+                      for a, da in map(F.clear, self.rows)])
 
     def is_zero(self) -> bool:
         F = self.field
@@ -242,14 +213,38 @@ class Matrix:
     # --- elimination-based operations ----------------------------------------
 
     def det(self):
-        """Exact determinant; Bareiss over Q, ordinary elimination over F_p."""
+        """Exact determinant by fraction-free Bareiss elimination on the
+        cleared rows: the integer determinant over the product of the row
+        denominators over Q, and over F_p the determinant of the integer
+        lift of the residues, reduced mod p."""
         if not self.is_square:
             raise NotSquare("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return self.field.one
-        if isinstance(self.field, RationalField):
-            return _det_bareiss_q(self)
-        return _det_gauss_fp(self)
+        F = self.field
+        n = self.nrows
+        if n == 0:
+            return F.one
+        rows = []
+        scale = 1
+        for r in self.rows:
+            ints, den = F.clear(r)
+            scale *= den
+            rows.append(ints)
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if rows[k][k] == 0:
+                pr = next((i for i in range(k + 1, n) if rows[i][k]), None)
+                if pr is None:
+                    return F.zero
+                rows[k], rows[pr] = rows[pr], rows[k]
+                sign = -sign
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    rows[i][j] = (rows[i][j] * rows[k][k]
+                                  - rows[i][k] * rows[k][j]) // prev
+                rows[i][k] = 0
+            prev = rows[k][k]
+        return F.ratio(sign * rows[n - 1][n - 1], scale)
 
     def rank(self) -> int:
         _, pivots = _rref(self)
@@ -308,56 +303,16 @@ class Matrix:
         return Matrix(F, rows, coerce=False, ncols=rhs.ncols)
 
 
-def _clear(xs):
-    """Q scalars xs as (ints, d) with xs[i] = ints[i] / d, d the lcm of
-    their denominators (1 for no scalars)."""
-    d = math.lcm(*[x.denominator for x in xs])
-    if d == 1:
-        return [x.numerator for x in xs], 1
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
 def _rref(M: Matrix):
-    """Reduced row echelon form and pivot column list (deterministic)."""
-    if M.field.p is None:
-        return _rref_q(M)
-    F = M.field
-    rows = [list(r) for r in M.rows]
-    pivots = []
-    r = 0
-    for c in range(M.ncols):
-        if r == M.nrows:
-            break
-        pr = next((i for i in range(r, M.nrows)
-                   if not F.is_zero(rows[i][c])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(M.nrows):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(F, rows, coerce=False), pivots
+    """Reduced row echelon form and pivot column list (deterministic).
 
-
-def _primitive(row):
-    """An integer row divided by the gcd of its entries."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _rref_q(M: Matrix):
-    # fraction-free Gauss-Jordan on the cleared rows: a row changes only
-    # by nonzero integer multiples, so the row space and hence the
-    # (unique) RREF are unchanged; pivot rows are divided out at the end
+    Fraction-free Gauss-Jordan on the cleared rows: a row changes only by
+    nonzero multiples, so the row space and hence the (unique) RREF are
+    unchanged; pivot rows are divided out at the end."""
     F = M.field
     n = M.nrows
-    rows = [_primitive(_clear(r)[0]) for r in M.rows]
+    reduce_row = F.reduce_row
+    rows = [reduce_row(F.clear(r)[0]) for r in M.rows]
     pivots = []
     r = 0
     for c in range(M.ncols):
@@ -374,85 +329,15 @@ def _rref_q(M: Matrix):
             if i != r and f:
                 g = math.gcd(piv, f)
                 a, b = piv // g, f // g
-                rows[i] = _primitive([a * x - b * y
+                rows[i] = reduce_row([a * x - b * y
                                       for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
-    zero = F.zero
-    out = [[Fraction(x, rows[i][c]) if x else zero for x in rows[i]]
+    ratio, zero = F.ratio, F.zero
+    out = [[ratio(x, rows[i][c]) if x else zero for x in rows[i]]
            for i, c in enumerate(pivots)]
     out += [[zero] * M.ncols for _ in range(n - r)]
-    return Matrix(F, out, coerce=False), pivots
-
-
-def _det_gauss_fp(M: Matrix):
-    p = M.field.p
-    n = M.nrows
-    rows = [list(r) for r in M.rows]
-    det = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] % p), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        piv = rows[c][c]
-        det = det * piv % p
-        inv = pow(piv, p - 2, p)
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
-    return det % p
-
-
-def _det_bareiss_q(M: Matrix):
-    # scale each row to integers, run integer Bareiss, and divide back
-    n = M.nrows
-    rows = []
-    scale = 1
-    for r in M.rows:
-        ints, den = _clear(r)
-        scale *= den
-        rows.append(ints)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if pr is None:
-                return Fraction(0)
-            rows[k], rows[pr] = rows[pr], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k]
-                              - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return Fraction(sign * rows[n - 1][n - 1], scale)
-
-
-def det_cofactor(M: Matrix):
-    """Cofactor-expansion determinant; cross-check route for small n."""
-    if not M.is_square:
-        raise NotSquare("determinant of a non-square matrix")
-    F = M.field
-    n = M.nrows
-    if n == 0:
-        return F.one
-    if n == 1:
-        return M.rows[0][0]
-    acc = F.zero
-    rest_rows = range(1, n)
-    for j in range(n):
-        if F.is_zero(M.rows[0][j]):
-            continue
-        minor = M.submatrix(rest_rows, [c for c in range(n) if c != j])
-        term = F.mul(M.rows[0][j], det_cofactor(minor))
-        acc = F.add(acc, term) if j % 2 == 0 else F.sub(acc, term)
-    return acc
+    return Matrix(F, out, coerce=False, ncols=M.ncols), pivots
 
 
 # --- characteristic polynomial ------------------------------------------------
@@ -501,28 +386,6 @@ def char_poly(T: Matrix) -> Poly:
                 acc = _axpy(acc, [F.neg(c)], chis[k - i], p, zero)
         chis.append(acc)
     return Poly(F, tuple(chis[n]), normalize=False)
-
-
-def char_poly_faddeev(T: Matrix) -> Poly:
-    """Faddeev-LeVerrier characteristic polynomial.
-
-    Needs characteristic 0 or > n (divides by 1..n); kept as the
-    independent validation route for the fraction-free one.
-    """
-    if not T.is_square:
-        raise NotSquare("characteristic polynomial of a non-square matrix")
-    F = T.field
-    n = T.nrows
-    if not F.char_exceeds(n):
-        raise ValueError("Faddeev-LeVerrier needs characteristic > n")
-    coeffs = [F.one]  # coefficient of x^n
-    N = Matrix.zeros(F, n, n)
-    ident = Matrix.identity(F, n)
-    for k in range(1, n + 1):
-        N = T * (N + ident.scale(coeffs[-1])) if k > 1 else T
-        ck = F.neg(F.div(N.trace(), F.coerce(k)))
-        coeffs.append(ck)
-    return Poly(F, list(reversed(coeffs)))
 
 
 def eval_poly_at_matrix(f: Poly, T: Matrix) -> Matrix:

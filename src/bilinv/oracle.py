@@ -16,14 +16,10 @@ the two is what the acceptance suite checks.
 from dataclasses import dataclass
 from itertools import product
 
+from .certificates import INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC
 from .errors import GroupTooLarge, NotSquare, Singular
 from .fields import PrimeField
 from .linalg import Matrix
-
-SYMMETRIC = "symmetric"
-SKEW = "skew"
-INVARIANT = "invariant"
-INFINITESIMAL = "infinitesimal"
 
 EXHAUSTIVE_DIM = 4
 EXHAUSTIVE_SCALARS = (0, 1, -1, 2)

@@ -396,17 +396,15 @@ def factor(f: Poly, seed: int = 0,
     """Complete factorization into monic irreducibles over f's field.
 
     The equal-degree splitting stage over F_p is randomized; the seed
-    makes it reproducible.  Over Q the degree is capped (DegreeLimit).
+    makes it reproducible.  Over Q the degree of each Yun squarefree part
+    is capped (DegreeLimit), so a repeated factor counts once.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if isinstance(f.field, PrimeField):
         pairs = _factor_fp(f.monic(), random.Random(seed))
     else:
-        if f.degree > degree_limit:
-            raise DegreeLimit(
-                f"degree {f.degree} exceeds factorization bound {degree_limit}")
-        pairs = _factor_q(f.monic(), random.Random(seed))
+        pairs = _factor_q(f.monic(), random.Random(seed), degree_limit)
     pairs.sort(key=lambda t: t[0].sort_key())
     fac = Factorization(f.lc, tuple(pairs), f.field)
     assert fac.product() == f, "factorization failed to reconstruct input"
@@ -659,7 +657,7 @@ def _recombine(zc, lifted, q):
     return out
 
 
-def _factor_q(f: Poly, rng):
+def _factor_q(f: Poly, rng, degree_limit):
     out = []
     # strip powers of x first
     val = 0
@@ -669,6 +667,9 @@ def _factor_q(f: Poly, rng):
     if val:
         out.append((Poly.x(f.field), val))
     for g, mult in _squarefree(f):
+        if g.degree > degree_limit:
+            raise DegreeLimit(f"degree {g.degree} exceeds factorization "
+                              f"bound {degree_limit}")
         den = math.lcm(*(c.denominator for c in g.coeffs))
         zc = _zprimitive([int(c * den) for c in g.coeffs])
         for zfac in _zassenhaus(zc, rng):

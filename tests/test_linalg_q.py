@@ -1,9 +1,12 @@
-"""Property tests of the Q matrix paths, which run on integers over one
-denominator, against plain-Fraction references kept here: a schoolbook
-product, a textbook Gauss-Jordan RREF, and f(T) and T^k v by matrix
-powers.  Inputs mix positive and negative denominators, large and small
-numerators, zero rows, and the shapes 0 x 0, n x 0, 0 x n and 1 x n;
-a matrix with no rows keeps the width it was made with.
+"""Property tests of the matrix paths, which run on integers over one
+denominator for Q and F_p alike, against references kept here on the
+field's scalar methods: a schoolbook product, a textbook Gauss-Jordan
+RREF, a cofactor determinant, and f(T) and T^k v by matrix powers.  The
+elimination and product properties run over Q, F_7 and F_101.  Q inputs
+mix positive and negative denominators and large and small numerators;
+F_p inputs are arbitrary integers reduced mod p.  All of them include
+zero rows and the shapes 0 x 0, n x 0, 0 x n and 1 x n; a matrix with no
+rows keeps the width it was made with.
 """
 
 import random
@@ -18,14 +21,17 @@ from bilinv.certificates import SKEW, SYMMETRIC, check_symmetry  # noqa: E402
 from bilinv.construction import (_share_transpose,  # noqa: E402
                                  construct_invariant_form)
 from bilinv.errors import Singular  # noqa: E402
-from bilinv.fields import QQ  # noqa: E402
+from bilinv.fields import QQ, PrimeField  # noqa: E402
 from bilinv.canonical import krylov_basis  # noqa: E402
-from bilinv.linalg import (Matrix, det_cofactor,  # noqa: E402
-                           eval_poly_at_matrix)
+from bilinv.linalg import Matrix, eval_poly_at_matrix  # noqa: E402
 from bilinv.poly import Poly  # noqa: E402
+from linalg_reference import det_cofactor  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60,
                     deadline=None)
+
+PRIME_FIELDS = [PrimeField(7), PrimeField(101)]
+over_fp = pytest.mark.parametrize("F", PRIME_FIELDS, ids=repr)
 
 scalars = st.builds(
     Fraction,
@@ -33,52 +39,69 @@ scalars = st.builds(
     st.sampled_from((1, -1, 2, -3, 4, 7, -12, 10 ** 20 + 39)))
 
 
+def field_scalars(F):
+    """Q scalars, or integers (reduced mod p on coercion) over F_p."""
+    if F == QQ:
+        return scalars
+    return st.one_of(st.integers(-9, 9), st.integers(-10 ** 30, 10 ** 30))
+
+
 @st.composite
-def raw_rows(draw, nrows, ncols):
-    """nrows x ncols Fractions; each row is all zero with probability 1/4."""
-    zero_row = [Fraction(0)] * ncols
+def raw_rows(draw, nrows, ncols, F=QQ):
+    """nrows x ncols scalars; each row is all zero with probability 1/4."""
+    zero_row = [F.zero] * ncols
     return [zero_row if draw(st.integers(0, 3)) == 0
-            else draw(st.lists(scalars, min_size=ncols, max_size=ncols))
+            else draw(st.lists(field_scalars(F), min_size=ncols,
+                               max_size=ncols))
             for _ in range(nrows)]
 
 
 @st.composite
-def matrices(draw, max_rows=4, max_cols=4):
+def matrices(draw, max_rows=4, max_cols=4, F=QQ):
     nrows = draw(st.integers(0, max_rows))
     ncols = draw(st.integers(0, max_cols))
-    return Matrix(QQ, draw(raw_rows(nrows, ncols)), ncols=ncols)
+    return Matrix(F, draw(raw_rows(nrows, ncols, F)), ncols=ncols)
 
 
 @st.composite
-def square_matrices(draw, max_n=4):
+def square_matrices(draw, max_n=4, F=QQ):
     n = draw(st.integers(0, max_n))
-    return Matrix(QQ, draw(raw_rows(n, n)))
+    return Matrix(F, draw(raw_rows(n, n, F)), ncols=n)
 
 
-# --- plain-Fraction references ---------------------------------------------
+# --- references on the field's scalar methods --------------------------------
+
+def ref_dot(F, xs, ys):
+    acc = F.zero
+    for x, y in zip(xs, ys):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
 
 def ref_mul(A, B):
     """Schoolbook product; n x 0 times 0 x k is the n x k zero matrix."""
-    return [[sum((A.rows[i][t] * B.rows[t][j] for t in range(A.ncols)),
-                 Fraction(0)) for j in range(B.ncols)]
+    F = A.field
+    return [[ref_dot(F, A.rows[i], B.col(j)) for j in range(B.ncols)]
             for i in range(A.nrows)]
 
 
-def ref_rref(rows, ncols):
+def ref_rref(F, rows, ncols):
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, len(rows))
+                   if not F.is_zero(rows[i][c])), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
+            if i != r and not F.is_zero(rows[i][c]):
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [F.sub(x, F.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -87,37 +110,49 @@ def ref_rref(rows, ncols):
 def ref_power_apply(T, k, u):
     v = list(u)
     for _ in range(k):
-        v = [sum((a * x for a, x in zip(row, v)), Fraction(0))
-             for row in T.rows]
+        v = [ref_dot(T.field, row, v) for row in T.rows]
     return v
 
 
 # --- properties ------------------------------------------------------------
 
+def _check_product(data, F):
+    A = data.draw(matrices(F=F))
+    k = data.draw(st.integers(0, 4))
+    B = Matrix(F, data.draw(raw_rows(A.ncols, k, F)), ncols=k)
+    assert [list(r) for r in (A * B).rows] == ref_mul(A, B)
+    v = data.draw(st.lists(field_scalars(F), min_size=A.ncols,
+                           max_size=A.ncols))
+    v = tuple(F.coerce(x) for x in v)
+    assert list(A.apply(v)) == [ref_dot(F, row, v) for row in A.rows]
+
+
 @PROPERTY
 @given(st.data())
 def test_product_and_apply_match_schoolbook(data):
-    A = data.draw(matrices())
-    k = data.draw(st.integers(0, 4))
-    B = Matrix(QQ, data.draw(raw_rows(A.ncols, k)), ncols=k)
-    assert [list(r) for r in (A * B).rows] == ref_mul(A, B)
-    v = data.draw(st.lists(scalars, min_size=A.ncols, max_size=A.ncols))
-    assert list(A.apply(tuple(v))) == [
-        sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A.rows]
+    _check_product(data, QQ)
+
+
+@over_fp
+@PROPERTY
+@given(data=st.data())
+def test_product_and_apply_match_schoolbook_over_fp(F, data):
+    _check_product(data, F)
 
 
 def _check_elimination(A):
-    R_ref, piv_ref = ref_rref(A.rows, A.ncols)
+    F = A.field
+    R_ref, piv_ref = ref_rref(F, A.rows, A.ncols)
     assert A.rank() == len(piv_ref)
     # kernel: one vector per free column, 1 there and 0 at the other free
     # columns, minus the RREF entries at the pivot coordinates
     free = [j for j in range(A.ncols) if j not in piv_ref]
     expected = []
     for j in free:
-        v = [Fraction(0)] * A.ncols
-        v[j] = Fraction(1)
+        v = [F.zero] * A.ncols
+        v[j] = F.one
         for r, c in enumerate(piv_ref):
-            v[c] = -R_ref[r][j]
+            v[c] = F.neg(R_ref[r][j])
         expected.append(tuple(v))
     assert A.kernel_basis() == expected
 
@@ -132,46 +167,102 @@ def test_rank_and_kernel_match_textbook_rref(A):
     _check_elimination(A)
 
 
+@over_fp
+@PROPERTY
+@given(data=st.data())
+def test_rank_and_kernel_match_textbook_rref_over_fp(F, data):
+    _check_elimination(data.draw(matrices(F=F)))
+
+
+def _check_inverse_and_det(A):
+    F = A.field
+    n = A.nrows
+    ident = Matrix.identity(F, n).rows
+    R_ref, piv_ref = ref_rref(F, [r + e for r, e in zip(A.rows, ident)],
+                              2 * n)
+    assert A.det() == det_cofactor(A)
+    if piv_ref[:n] != list(range(n)) or len(piv_ref) < n:
+        assert A.det() == F.zero
+        with pytest.raises(Singular):
+            A.inverse()
+        return
+    inv = A.inverse()
+    assert [list(r) for r in inv.rows] == [r[n:] for r in R_ref]
+    assert A * inv == Matrix.identity(F, n)
+
+
 @PROPERTY
 @given(square_matrices())
 @example(Matrix(QQ, []))
 @example(Matrix(QQ, [["-1/3"]]))
 @example(Matrix(QQ, [[1, 2], [2, 4]]))
 def test_inverse_and_det_match_references(A):
-    n = A.nrows
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    R_ref, piv_ref = ref_rref([r + tuple(e) for r, e in zip(A.rows, ident)],
-                              2 * n)
-    assert A.det() == det_cofactor(A)
-    if piv_ref[:n] != list(range(n)) or len(piv_ref) < n:
-        assert A.det() == 0
-        with pytest.raises(Singular):
-            A.inverse()
-        return
-    inv = A.inverse()
-    assert [list(r) for r in inv.rows] == [r[n:] for r in R_ref]
-    assert A * inv == Matrix.identity(QQ, n)
+    _check_inverse_and_det(A)
 
 
+@over_fp
 @PROPERTY
-@given(st.data())
-def test_solve_right_matches_textbook_rref(data):
-    A = data.draw(matrices())
+@given(data=st.data())
+def test_inverse_and_det_match_references_over_fp(F, data):
+    _check_inverse_and_det(data.draw(square_matrices(F=F)))
+
+
+def _check_solve_right(data, F):
+    A = data.draw(matrices(F=F))
     m = data.draw(st.integers(1, 3))
-    rhs = Matrix(QQ, data.draw(raw_rows(A.nrows, m)), ncols=m)
-    R_ref, piv_ref = ref_rref([r + s for r, s in zip(A.rows, rhs.rows)],
+    rhs = Matrix(F, data.draw(raw_rows(A.nrows, m, F)), ncols=m)
+    R_ref, piv_ref = ref_rref(F, [r + s for r, s in zip(A.rows, rhs.rows)],
                               A.ncols + m)
     if any(c >= A.ncols for c in piv_ref):
         with pytest.raises(Singular):
             A.solve_right(rhs)
         return
     X = A.solve_right(rhs)
-    expected = [[Fraction(0)] * m for _ in range(A.ncols)]
+    expected = [[F.zero] * m for _ in range(A.ncols)]
     for r, c in enumerate(piv_ref):
         expected[c] = R_ref[r][A.ncols:]
     assert [list(r) for r in X.rows] == expected
     assert (X.nrows, X.ncols) == (A.ncols, m)
     assert A * X == rhs and (A * X).ncols == m
+
+
+@PROPERTY
+@given(st.data())
+def test_solve_right_matches_textbook_rref(data):
+    _check_solve_right(data, QQ)
+
+
+@over_fp
+@PROPERTY
+@given(data=st.data())
+def test_solve_right_matches_textbook_rref_over_fp(F, data):
+    _check_solve_right(data, F)
+
+
+def test_fp_named_cases():
+    F5 = PrimeField(5)
+    # the integer lift has det -5: zero mod 5, so rank 1
+    A = Matrix(F5, [[1, 2], [3, 1]])
+    assert A.det() == 0 and A.rank() == 1
+    assert A.kernel_basis() == [(3, 1)]
+    with pytest.raises(Singular):
+        A.inverse()
+    for F in PRIME_FIELDS:
+        empty = Matrix(F, [])
+        assert empty.det() == F.one and empty.rank() == 0
+        assert empty.inverse() == empty and empty * empty == empty
+        tall = Matrix.zeros(F, 3, 0)          # 3 x 0
+        wide = Matrix.zeros(F, 0, 3)          # 0 x 3
+        assert (tall.rank(), wide.rank()) == (0, 0)
+        assert tall.kernel_basis() == []
+        assert wide.kernel_basis() == list(Matrix.identity(F, 3).rows)
+        assert (tall * wide) == Matrix.zeros(F, 3, 3)
+        assert (wide * tall).nrows == 0 and (wide * tall).ncols == 0
+        assert tall.apply(()) == (F.zero,) * 3 and wide.apply((1, 2, 3)) == ()
+        X = tall.solve_right(Matrix.zeros(F, 3, 2))
+        assert (X.nrows, X.ncols) == (0, 2)
+        with pytest.raises(Singular):
+            tall.solve_right(Matrix(F, [[1], [0], [0]]))
 
 
 def test_singular_raised():

@@ -121,6 +121,9 @@ def test_degree_limit():
     with pytest.raises(DegreeLimit):
         factor(f)
     factor(f, degree_limit=30)
+    # the cap applies to each squarefree part: (x^2 - 3)^13 has degree 26
+    g = Poly.parse(QQ, "x^2 - 3")
+    assert list(factor(g ** 13)) == [(g, 13)]
 
 
 def no_rational_root(p):

@@ -31,39 +31,26 @@ from .poly import (DEFAULT_DEGREE_LIMIT, Poly, _axpy, _divmod, _scale,
 
 # --- Smith normal form over F[x] -------------------------------------------
 
-def smith_normal_form(A, track: bool = False):
-    """Smith normal form of a square polynomial matrix.
-
-    Returns (diag, pinv) where diag is the list of monic (or zero)
-    diagonal entries with d_1 | d_2 | ... and, when track is set, pinv is
-    the inverse of the accumulated row transform, as a polynomial matrix.
-    Column transforms are not tracked (the applications never need them).
-    """
+def smith_normal_form(A):
+    """Diagonal of the Smith normal form of a square polynomial matrix:
+    the list of monic (or zero) entries d_1 | d_2 | ... .  Transforms
+    are not kept."""
     n = len(A)
     if n == 0:
-        return [], ([] if track else None)
+        return []
     field = A[0][0].field
     p = field.p
     zero, one = field.zero, field.one
     minus_one = field.neg(one)
     M = [[list(e.coeffs) for e in row] for row in A]
-    # the transpose of pinv: row operations on M are column operations
-    # on pinv, so they become row operations here
-    pinv_t = [[[one] if i == j else [] for j in range(n)]
-              for i in range(n)] if track else None
 
     def row_axpy(dst, src, q):
-        # row_dst -= q * row_src ; inverse transform: col_src += q * col_dst
+        # row_dst -= q * row_src
         mq = _scale(q, minus_one, p)
         Md, Ms = M[dst], M[src]
         for j in range(n):
             if Ms[j]:
                 Md[j] = _axpy(Md[j], mq, Ms[j], p, zero)
-        if track:
-            Pd, Ps = pinv_t[dst], pinv_t[src]
-            for a in range(n):
-                if Pd[a]:
-                    Ps[a] = _axpy(Ps[a], q, Pd[a], p, zero)
 
     for t in range(n):
         older = last = None       # pivot lengths of the last two passes
@@ -87,8 +74,6 @@ def smith_normal_form(A, track: bool = False):
             _, bi, bj = best
             if bi != t:
                 M[t], M[bi] = M[bi], M[t]
-                if track:
-                    pinv_t[t], pinv_t[bi] = pinv_t[bi], pinv_t[t]
             if bj != t:
                 for row in M:
                     row[t], row[bj] = row[bj], row[t]
@@ -129,17 +114,9 @@ def smith_normal_form(A, track: bool = False):
     for i in range(n):
         d = M[i][i]
         if d and d[-1] != one:
-            lc = d[-1]
-            d = _scale(d, field.inv(lc), p)
-            if track:
-                pinv_t[i] = [_scale(e, lc, p) for e in pinv_t[i]]
+            d = _scale(d, field.inv(d[-1]), p)
         diag.append(Poly(field, tuple(d), normalize=False))
-    if track:
-        pinv = [[Poly(field, tuple(pinv_t[j][i]), normalize=False)
-                 for j in range(n)] for i in range(n)]
-    else:
-        pinv = None
-    return diag, pinv
+    return diag
 
 
 def _char_matrix(T: Matrix):

@@ -105,6 +105,19 @@ def symmetry_of(B: Matrix):
     return None
 
 
+def verified_symmetry(M: Matrix, B: Matrix, setting: str) -> str:
+    """The symmetry of a Gram given from outside, once it verifies as a
+    non-degenerate form of that symmetry for M; UnverifiedForm if not."""
+    symmetry = symmetry_of(B)
+    if symmetry is None:
+        raise UnverifiedForm("Gram matrix is neither symmetric nor skew")
+    checks = verify_gram(M, B, symmetry, setting)
+    if not all(checks.values()):
+        failed = [k for k, v in checks.items() if not v]
+        raise UnverifiedForm(f"form fails checks: {failed}")
+    return symmetry
+
+
 @dataclass(slots=True)
 class FormCertificate:
     """A verified Gram witness for a map; unconstructible unless all

@@ -8,8 +8,8 @@ Instance file schema:
 
 decide, construct, infinitesimal and real take --seed (the seed of the
 randomized F_p factorization) and --degree-limit (the degree cap of
-factorization over Q); verify, decompose and level factor nothing and
-take neither.
+factorization over Q, at least 1); verify, decompose and level factor
+nothing and take neither.
 
 Exit codes: 0 computed (even when the answer is "no form exists"),
 1 verification failure, 2 input error, 3 capability error (degree limit,
@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from .certificates import (INFINITESIMAL, INVARIANT, SETTINGS, SKEW,
                            SYMMETRIC, verify_gram)
@@ -115,7 +114,15 @@ def _error_exit(exc) -> int:
 
 # --- subcommand bodies ----------------------------------------------------------
 
+def _check_at_least(args, **bounds):
+    for name, low in bounds.items():
+        if getattr(args, name) < low:
+            raise InputError(f"--{name.replace('_', '-')} must be at least "
+                             f"{low}, got {getattr(args, name)}")
+
+
 def _cmd_decide(args) -> int:
+    _check_at_least(args, degree_limit=1)
     _, T, _ = load_instance(args.instance)
     report = decide_invariant_form(T, args.symmetry, seed=args.seed,
                                    degree_limit=args.degree_limit)
@@ -124,6 +131,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    _check_at_least(args, degree_limit=1)
     _, T, _ = load_instance(args.instance)
     report = decide_invariant_form(T, args.symmetry, construct=True,
                                    seed=args.seed,
@@ -133,6 +141,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_infinitesimal(args) -> int:
+    _check_at_least(args, degree_limit=1)
     _, S, _ = load_instance(args.instance)
     report = decide_infinitesimal_form(S, args.symmetry,
                                        construct=args.construct,
@@ -151,6 +160,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_real(args) -> int:
+    _check_at_least(args, degree_limit=1)
     _, T, _ = load_instance(args.instance)
     report = decide_real(T, seed=args.seed, degree_limit=args.degree_limit)
     _emit(report.to_json())
@@ -171,13 +181,6 @@ def _cmd_level(args) -> int:
     return 0
 
 
-def _check_at_least(args, **bounds):
-    for name, low in bounds.items():
-        if getattr(args, name) < low:
-            raise InputError(f"--{name.replace('_', '-')} must be at least "
-                             f"{low}, got {getattr(args, name)}")
-
-
 def _cmd_oracle(args) -> int:
     _check_at_least(args, trials=0)
     field, M, _ = load_instance(args.instance)
@@ -196,11 +199,8 @@ def _cmd_oracle(args) -> int:
 
 # --- selftest --------------------------------------------------------------------
 
-def _selftest_worker(payload):
-    index, kind, prime, rows, seed, trials = payload
-    field = PrimeField(prime)
-    T = Matrix(field, [[int(e) for e in r] for r in rows], coerce=False)
-    rec = {"index": index, "kind": kind, "field": f"F{prime}",
+def _selftest_record(index, kind, T, seed, trials):
+    rec = {"index": index, "kind": kind, "field": f"F{T.field.p}",
            "dim": T.nrows, "results": {}}
     decide = decide_invariant_form if kind == "invariant" \
         else decide_infinitesimal_form
@@ -221,7 +221,7 @@ def _selftest_worker(payload):
 
 
 def _cmd_selftest(args) -> int:
-    _check_at_least(args, count=1, max_dim=1, jobs=1, trials=0)
+    _check_at_least(args, count=1, max_dim=1, trials=0)
     try:
         primes = tuple(_parse_field({"Fp": int(p)}).p
                        for p in args.fields.split(","))
@@ -235,19 +235,12 @@ def _cmd_selftest(args) -> int:
     half = args.count // 2
     pools = (("invariant", args.seed, args.count - half),
              ("infinitesimal", args.seed + 1, half))
-    payloads = []
-    index = 0
+    records = []
     for kind, seed, cnt in pools:
-        for field, T in corpus(seed, cnt, kind, primes, args.max_dim):
-            payloads.append((index, kind, field.p,
-                             [[str(e) for e in row] for row in T.rows],
-                             args.seed * 1000003 + index, args.trials))
-            index += 1
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_selftest_worker, payloads))
-    else:
-        records = [_selftest_worker(p) for p in payloads]
+        for _, T in corpus(seed, cnt, kind, primes, args.max_dim):
+            index = len(records)
+            records.append(_selftest_record(
+                index, kind, T, args.seed * 1000003 + index, args.trials))
     checks = [r["results"][s] for r in records for s in (SYMMETRIC, SKEW)]
     summary = {
         "instances": len(records),
@@ -307,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the seeded agreement corpus")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--max-dim", type=int, default=6)
     p.add_argument("--fields", default=",".join(str(p) for p in DEFAULT_FIELDS))

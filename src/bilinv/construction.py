@@ -30,8 +30,8 @@ from functools import reduce
 from .canonical import (DUALITY, IndecomposableSummand, krylov_basis,
                         natural_parity_ok)
 from .certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
-                           FormCertificate, make_certificate, symmetry_of,
-                           verify_gram)
+                           FormCertificate, make_certificate,
+                           verified_symmetry)
 from .decision import decide_form
 from .errors import (DecisionFalse, EigenvalueObstruction, NotDualPair,
                      NotSelfDual, ParityViolation, Singular,
@@ -71,11 +71,11 @@ def _sigma(F: Field, setting: str, m: int):
     return (F.one if m % 2 == 0 else F.neg(F.one)), m
 
 
-def _functional_gram(F: Field, setting: str, N: int, lam) -> Matrix:
-    """The Gram [lam(x^i sigma(x^j))] for i, j < N of a functional lam
+def _functional_gram(F: Field, setting: str, N: int, ell) -> Matrix:
+    """The Gram [ell(x^i sigma(x^j))] for i, j < N of a functional ell
     given on the powers x^m."""
     sig = [_sigma(F, setting, j) for j in range(N)]
-    return Matrix(F, [[F.mul(c, lam(i + e)) for c, e in sig]
+    return Matrix(F, [[F.mul(c, ell(i + e)) for c, e in sig]
                       for i in range(N)], coerce=False)
 
 
@@ -118,21 +118,18 @@ def self_dual_block_form(p: Poly, d: int, symmetry: str,
                          f"({p.to_str()})^{d}")
 
 
-def unipotent_block_form(field: Field, k: int, symmetry: str,
-                         lam: int = 1) -> Matrix:
+def unipotent_block_form(field: Field, k: int, symmetry: str) -> Matrix:
     """Gram K with U^t K U = K for the lower unit bidiagonal unipotent U
-    of size k, the chain-basis shape of a (x - lam)^k block: the
+    of size k, the chain-basis shape of a (x - 1)^k block: the
     `self_dual_block_form` of (x - 1)^k moved from the power basis to the
     chain basis (C - I)^i e_0, C the companion of (x - 1)^k, on which C
-    acts as U.  Symmetric needs k odd, skew k even.  -U has the same
-    invariant forms, so lam only names the factor in the parity error.
+    acts as U.  Symmetric needs k odd, skew k even; -U has the same
+    invariant forms.
     """
-    if lam not in (1, -1):
-        raise ValueError("lam must be +1 or -1")
     if not natural_parity_ok(k, symmetry):
         raise ParityViolation(
             f"no non-degenerate {symmetry} form on an indecomposable "
-            f"(x {'-' if lam == 1 else '+'} 1)^{k} block")
+            f"(x - 1)^{k} block")
     p = Poly.parse(field, "x - 1")
     eye = Matrix.identity(field, k)
     P = krylov_basis(Matrix.companion(p ** k) - eye, eye.col(0), k)
@@ -169,12 +166,7 @@ def skew_symmetric_converter(M: Matrix, B: Matrix,
                              setting: str = INVARIANT) -> FormCertificate:
     """Public converter: checks the input witness, emits a verified
     certificate of the opposite symmetry."""
-    src = symmetry_of(B)
-    if src is None:
-        raise UnverifiedForm("input Gram is neither symmetric nor skew")
-    checks = verify_gram(M, B, src, setting)
-    if not all(checks.values()):
-        raise UnverifiedForm(f"input witness fails checks: {checks}")
+    src = verified_symmetry(M, B, setting)
     out = convert_symmetry(M, B, setting)
     target = SKEW if src == SYMMETRIC else SYMMETRIC
     return make_certificate(M, out, target, setting,

@@ -63,10 +63,10 @@ def _invariant_atoms(field, rng, budget):
     while budget > 0:
         roll = rng.randrange(8)
         if roll <= 2:          # unipotent-type block
-            lam = 1 if rng.randrange(2) == 0 else -1
+            root = 1 if rng.randrange(2) == 0 else -1
             k = rng.randrange(1, min(3, budget) + 1)
             mult = rng.randrange(1, min(3, budget // k) + 1)
-            block = Matrix.companion(Poly.x_minus(field, lam) ** k)
+            block = Matrix.companion(Poly.x_minus(field, root) ** k)
             for _ in range(mult):
                 atoms.append(Matrix.block_diagonal(field, [block]))
             budget -= k * mult
@@ -95,8 +95,8 @@ def _invariant_atoms(field, rng, budget):
             atoms.append(Matrix.companion(q))
             budget -= 2
         else:
-            lam = 1 if rng.randrange(2) == 0 else -1
-            atoms.append(Matrix.companion(Poly.x_minus(field, lam)))
+            root = 1 if rng.randrange(2) == 0 else -1
+            atoms.append(Matrix.companion(Poly.x_minus(field, root)))
             budget -= 1
     return atoms
 
@@ -188,9 +188,9 @@ def unipotent_jordan_types(max_dim: int = MAX_DIM):
     return out
 
 
-def jordan_matrix(field, parts, lam=1) -> Matrix:
+def jordan_matrix(field, parts, eigenvalue=1) -> Matrix:
     return Matrix.block_diagonal(
-        field, [Matrix.jordan_block(field, lam, k) for k in parts])
+        field, [Matrix.jordan_block(field, eigenvalue, k) for k in parts])
 
 
 def symmetric_admissible(parts) -> bool:

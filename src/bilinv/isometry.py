@@ -28,13 +28,13 @@ m - 1 otherwise.  Skew forms are hyperbolic, of index n / 2.
 
 from dataclasses import dataclass
 
-from .canonical import krylov_basis
+from .canonical import krylov_basis, natural_parity_ok
 from .certificates import (INVARIANT, SKEW, SYMMETRIC, FormCertificate,
-                           symmetry_of, verify_gram)
+                           symmetry_of, verified_symmetry)
 from .errors import (Degenerate, NotSquare, NotUnipotent, NotUnipotentType,
-                     RationalsUnsupported, SmallCharacteristic, UnverifiedForm)
+                     RationalsUnsupported, SmallCharacteristic)
 from .fields import PrimeField
-from .linalg import Matrix
+from .linalg import Matrix, restriction
 
 ODD_INDECOMPOSABLE = "OddIndecomposable"
 EVEN_INDECOMPOSABLE = "EvenIndecomposable"
@@ -88,14 +88,14 @@ class OrthogonalSummandReport:
 
 
 def _unipotent_type(T: Matrix):
-    """(W, N, k, N^(k-1)) with W = T or -T and N = W - I nilpotent of level
-    k: the minimal polynomial of T is (x - 1)^k or (x + 1)^k.
+    """(N, k, N^(k-1)) with N = T - I or -T - I nilpotent of level k: the
+    minimal polynomial of T is (x - 1)^k or (x + 1)^k.
     NotUnipotentType if it is neither."""
     ident = Matrix.identity(T.field, T.nrows)
     for W in (T, -T):
         N = W - ident
         try:
-            return (W, N) + _nilpotency_level(N)
+            return (N,) + _nilpotency_level(N)
         except NotUnipotent:
             continue
     raise NotUnipotentType(
@@ -150,12 +150,7 @@ def _verified_form(T: Matrix, form):
     """(B, symmetry) of a FormCertificate or Gram matrix, re-verified as
     a symmetric or skew invariant form of T."""
     B = form.gram if isinstance(form, FormCertificate) else form
-    symmetry = symmetry_of(B)
-    if symmetry is None:
-        raise UnverifiedForm("Gram matrix is neither symmetric nor skew")
-    if not all(verify_gram(T, B, symmetry, INVARIANT).values()):
-        raise UnverifiedForm("form does not verify against the map")
-    return B, symmetry
+    return B, verified_symmetry(T, B, INVARIANT)
 
 
 def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
@@ -173,14 +168,13 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
     if F.characteristic == 2:
         raise SmallCharacteristic("characteristic 2 is out of scope")
     B, symmetry = _verified_form(T, form)
-    T_cur, N, k, nk1 = _unipotent_type(T)
+    N, k, nk1 = _unipotent_type(T)
     B_cur = B
     cols = Matrix.identity(F, T.nrows)  # ambient basis of the current subspace
     summands = []
     while cols.ncols > 0:
         d = cols.ncols
-        parity_ok = (k % 2 == 1) == (symmetry == SYMMETRIC)
-        if parity_ok:
+        if natural_parity_ok(k, symmetry):
             M2 = B_cur * nk1
             v = None
             for i in range(d):
@@ -224,9 +218,8 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
             break
         Zm = Matrix.from_cols(F, Z)
         cols = cols * Zm
-        T_cur = Zm.solve_right(T_cur * Zm)
+        N = restriction(N, Zm)
         B_cur = Zm.transpose() * B_cur * Zm
-        N = T_cur - Matrix.identity(F, cols.ncols)
         k, nk1 = _nilpotency_level(N)
     report = OrthogonalSummandReport(summands, symmetry)
     _validate_orthogonal_report(T, B, report)

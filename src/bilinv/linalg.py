@@ -89,12 +89,12 @@ class Matrix:
         return cls(F, rows, coerce=False)
 
     @classmethod
-    def jordan_block(cls, field, lam, k: int) -> "Matrix":
-        """Upper bidiagonal block: lam on the diagonal, 1 above it."""
-        lam = field.coerce(lam)
+    def jordan_block(cls, field, eigenvalue, k: int) -> "Matrix":
+        """Upper bidiagonal block: eigenvalue on the diagonal, 1 above it."""
+        eigenvalue = field.coerce(eigenvalue)
         rows = [[field.zero] * k for _ in range(k)]
         for i in range(k):
-            rows[i][i] = lam
+            rows[i][i] = eigenvalue
             if i + 1 < k:
                 rows[i][i + 1] = field.one
         return cls(field, rows, coerce=False)

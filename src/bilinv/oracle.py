@@ -76,9 +76,8 @@ def solve_form_space(M: Matrix, symmetry: str,
     # rows: n*n equations, columns: one per coordinate
     eq_rows = [[img.rows[i][j] for img in images]
                for i in range(n) for j in range(n)]
-    system = Matrix(F, eq_rows, coerce=False) if coords else \
-        Matrix(F, [[]], coerce=False)
-    kernel = system.kernel_basis() if coords else []
+    kernel = Matrix(F, eq_rows, coerce=False,
+                    ncols=len(coords)).kernel_basis()
     basis = []
     for vec in kernel:
         B = _combine(F, coords, vec)

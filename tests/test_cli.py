@@ -168,16 +168,20 @@ def test_selftest_smoke_and_determinism(capsys):
     assert code == 0 and first == second
 
 
-def test_selftest_parallel_matches_serial(capsys):
-    code = run(["selftest", "--seed", "13", "--count", "8"])
-    serial = capsys.readouterr().out
-    assert code == 0
-    code = run(["selftest", "--seed", "13", "--count", "8", "--jobs", "2"])
-    parallel = capsys.readouterr().out
-    assert code == 0 and serial == parallel
+def test_selftest_has_no_jobs_option(capsys):
+    # selftest runs in one process; --jobs is an unknown option
+    assert run(["selftest", "--seed", "13", "--count", "8",
+                "--jobs", "2"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 SELFTEST = ["selftest", "--seed", "1"]
+
+
+def _factoring(command, limit):
+    """A factoring subcommand on a missing instance with a bad limit."""
+    argv = [command, "missing.json", "--degree-limit", limit]
+    return argv + (["--symmetry", "skew"] if command != "real" else [])
 
 
 # each bad value is rejected before any instance is generated or read,
@@ -189,13 +193,16 @@ SELFTEST = ["selftest", "--seed", "1"]
     (SELFTEST + ["--max-dim", "0"], 2, "InputError", "--max-dim"),
     (SELFTEST + ["--count", "-3"], 2, "InputError", "--count"),
     (SELFTEST + ["--count", "0"], 2, "InputError", "--count"),
-    (SELFTEST + ["--jobs", "0"], 2, "InputError", "--jobs"),
+    (_factoring("decide", "-5"), 2, "InputError", "--degree-limit"),
     (SELFTEST + ["--trials", "-2"], 2, "InputError", "--trials"),
     (["oracle", "missing.json", "--symmetry", "skew", "--seed", "5",
       "--trials", "-1"], 2, "InputError", "--trials"),
     (SELFTEST + ["--fields", "3"], 3, "SmallCharacteristic", "--max-dim 6"),
     (SELFTEST + ["--fields", "101,7", "--max-dim", "7"], 3,
      "SmallCharacteristic", "--max-dim 7"),
+    (_factoring("construct", "0"), 2, "InputError", "--degree-limit"),
+    (_factoring("infinitesimal", "-1"), 2, "InputError", "--degree-limit"),
+    (_factoring("real", "0"), 2, "InputError", "--degree-limit"),
 ])
 def test_bad_option_values(capsys, argv, code, kind, detail):
     got, out = run_json(capsys, argv)

@@ -47,7 +47,7 @@ def test_unipotent_block_form_examples():
     with pytest.raises(ParityViolation):
         unipotent_block_form(QQ, 2, SYMMETRIC)
     with pytest.raises(ParityViolation):
-        unipotent_block_form(QQ, 3, SKEW, lam=-1)
+        unipotent_block_form(QQ, 3, SKEW)
 
 
 def test_unipotent_block_form_invariance_all_sizes():

@@ -1,6 +1,6 @@
-"""Golden outputs: sha256 digests of the canonical JSON of the tracked
-Smith form of xI - T (diagonal and inverse row transform) and of the
-constructed certificate, on seeded instances over F_101, F_257 and Q.
+"""Golden outputs: sha256 digests of the canonical JSON of the Smith
+diagonal of xI - T and of the constructed certificate, on seeded
+instances over F_101, F_257 and Q.
 
 The digests pin the exact output, not just its correctness: a kernel
 rewrite that keeps the pivot order, the row and column operations and
@@ -93,38 +93,39 @@ INSTANCES = {
         17, construct_invariant_form, SKEW),
 }
 
-# sha256 of (smith JSON, certificate JSON).  The Smith digests were
-# computed before the Smith form moved to raw coefficient lists, and the
-# Smith form is now only the reference for the invariant factors.  The
+# sha256 of (smith JSON, certificate JSON).  The Smith form is only the
+# reference for the invariant factors, so its digests cover the diagonal
+# alone; they were recomputed when the Smith form stopped keeping a row
+# transform, from the diagonal the earlier form returned.  The
 # certificate digests were recomputed when the summand generators moved
-# from the tracked Smith transform to reduced bases of the kernels of
-# p(T)^k (the decisions and divisors did not change, the Gram witnesses
-# did).  The two q10 instances pin the Q products and elimination on
-# integers over one denominator.
+# from a Smith row transform to reduced bases of the kernels of p(T)^k
+# (the decisions and divisors did not change, the Gram witnesses did).
+# The two q10 instances pin the Q products and elimination on integers
+# over one denominator.
 GOLDEN = {
     "fp101-infinitesimal-skew": (
-        "06f577fa4bf748601467a71754d182957da06586d3f3accd4deb16038841a6e5",
+        "2fb3552ee1e97f7e058af9e99435a9bd36adb2aedd1ab22479074da510fafb32",
         "de1246ec6a06fec7162c53013be97f17f7238b51a068dae2ef8878863e73699f"),
     "fp101-invariant-symmetric": (
-        "673582d3d2d6b6bfd77e8705534ca263c197721a493474a8c6946b447e5c7363",
+        "d57e25343d9c7d70c2cfff270539c1d7f804950022df82ea82c1349c75abf6fc",
         "e51c6d17fc85bd9addebec3bc708c260c07125600b9c43208fd76fa214539838"),
     "fp257-invariant-skew": (
-        "e6c9162587377886430174d780c7f6d29abb34d36389b84476e28c1524cd37dd",
+        "ddc8c082a99a41247d304331b9888408f0239a9f8ca99bab5c4c9a1d10244f5c",
         "782c8738fed03729a829669fb10903913305a754429d62e41b2e2b47e3434518"),
     "fp257-invariant-symmetric-repeated": (
-        "eaa21b425bfa54bc336764784acd71c90b6435bbd7b0ed46c2534328d53650e3",
+        "052734cfd838881870042b8688e5b4a15121282b0c6a2be02bfef9335a190c0c",
         "6fc56436a58d020f2a1720a1da70678681aab0303b6b29c667bb6c4ce8e29de6"),
     "q-infinitesimal-symmetric": (
-        "39fb8d55cd7f4edb6af7ffb666b0e6935bc543ee428673697259070efe2e2a86",
+        "39ec7e63800b790c6280bf8e73b6f76d49f7368db3fece2048efbee915483e95",
         "0f64e791f5ef0cfada04822a691e7329ef401affec272d5742fcb30112113cfd"),
     "q-invariant-symmetric": (
-        "d1acf2eff4272a462a714c5a0655cc76d8e02ad29124ec909267243e77e4ef53",
+        "b35f5aa5ce7f0c9e1959ff6464532a33a03b38468759c12de19cee79cd1629c8",
         "e80e54c595615bb9cbd1114be3b991671190a6f5fbe730942bc2bace7ba458aa"),
     "q10-invariant-skew": (
-        "48c0c800e9d815339afd8f5ffe89ce670b1a3c37e0ac7acb25aca81af6b98e2d",
+        "aa9bd5f74c002df53abd6a73129052ed9ff979c49d5c2ced4983c74ef335f026",
         "0c90e23a523144ace834f5626c915071f36ac84490056054b0b1f2d1f67d4b15"),
     "q10-invariant-symmetric": (
-        "a3487c72581d0e1251a45e69867747fdfe1e792d7e434ff044329f40a4f34abd",
+        "fc462a6fcf2696a5670366ec3609267cde8978808f83461f88b78ad45ba97fd5",
         "a3a70c9e30a73bf036d80f6f6361dc5ae4a30d880efdf9edbc4ca27eadb9e3db"),
 }
 
@@ -135,12 +136,8 @@ def _digest(obj) -> str:
 
 
 def _smith_json(field, T):
-    diag, pinv = smith_normal_form(_char_matrix(T), track=True)
-
-    def poly(f):
-        return [field.to_str(c) for c in f.coeffs]
-    return {"diag": [poly(d) for d in diag],
-            "pinv": [[poly(e) for e in row] for row in pinv]}
+    return {"diag": [[field.to_str(c) for c in d.coeffs]
+                     for d in smith_normal_form(_char_matrix(T))]}
 
 
 def golden_digests(name):
@@ -185,7 +182,7 @@ def test_q10_witness_entries_stay_small(name):
     # the golden rational conjugates have 34 and 37 bit entries, and the
     # Gram on each primary component carries the projection onto it
     # (31-36 bit entries) twice: 49 and 93 bits, where generators read
-    # off the tracked Smith transform gave 6189 and 7011
+    # off a Smith row transform gave 6189 and 7011
     T = _conjugate(field, T0, seed)
     assert _bits(construct(T, symmetry).gram) <= 3 * _bits(T)
     # integer conjugates of the size of the benchmark's q-construct inputs

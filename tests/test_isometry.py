@@ -7,8 +7,9 @@ from bilinv.certificates import SKEW, SYMMETRIC
 from bilinv.construction import construct_invariant_form
 from bilinv.corpus import (jordan_matrix, skew_admissible,
                            symmetric_admissible, unipotent_jordan_types)
-from bilinv.errors import (NotUnipotentType, RationalsUnsupported,
-                           SmallCharacteristic, UnverifiedForm)
+from bilinv.errors import (Degenerate, NotUnipotentType,
+                           RationalsUnsupported, SmallCharacteristic,
+                           UnverifiedForm)
 from bilinv.fields import PrimeField, QQ
 from bilinv.isometry import (EVEN_INDECOMPOSABLE, GENERAL_ODD,
                              ODD_INDECOMPOSABLE, STANDARD_PAIR, level_analysis,
@@ -118,6 +119,10 @@ def test_witt_index_examples():
     assert witt_index(Matrix(F5, [[0, 1], [-1, 0]])) == 1
     with pytest.raises(RationalsUnsupported):
         witt_index(Matrix.identity(QQ, 2))
+    with pytest.raises(Degenerate, match="non-degenerate"):
+        witt_index(Matrix(F5, [[1, 1], [1, 1]]))
+    with pytest.raises(Degenerate, match="neither symmetric nor skew"):
+        witt_index(Matrix(F5, [[0, 1], [2, 0]]))
 
 
 def test_witt_index_congruence_invariant():

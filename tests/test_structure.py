@@ -67,7 +67,7 @@ def conjugates(draw, max_dim=8):
 def smith_divisors(T):
     """{(p coeffs, k): multiplicity} read off the Smith diagonal."""
     counts = {}
-    for d in smith_normal_form(_char_matrix(T))[0]:
+    for d in smith_normal_form(_char_matrix(T)):
         if d.degree >= 1:
             for p, k in factor(d):
                 counts[(p.coeffs, k)] = counts.get((p.coeffs, k), 0) + 1

@@ -23,8 +23,8 @@ from typing import Callable
 
 from .certificates import INFINITESIMAL, INVARIANT, SYMMETRIC
 from .errors import NotSquare
-from .linalg import (Matrix, _rref, char_poly, eval_poly_at_matrix,
-                     restriction)
+from .linalg import (Matrix, _kernel, _rref, char_poly,
+                     eval_poly_at_matrix, restriction)
 from .poly import (DEFAULT_DEGREE_LIMIT, Poly, _axpy, _divmod, _scale,
                    additive_dual_poly, dual_poly, factor)
 
@@ -210,8 +210,16 @@ class ModuleStructure:
 
     def primary(self, p: Poly, e: int):
         """(B, S, N, K) for W = ker p(T)^e: B its basis as columns (None
-        when W = V), S = T on W, N = p(S), and K[j] a basis of ker N^j,
-        j = 0, 1, ... up to the first j with ker N^j = W."""
+        when W = V), S = T on W, N = p(S), and K[j] the kernel basis of
+        N^j (`Matrix.kernel_basis`), j = 0, 1, ... up to the first j with
+        ker N^j = W.
+
+        The kernels form a chain: with R_j the non-zero rows of the RREF
+        of N^j, R_j N has the row space of N^(j+1), so one elimination of
+        the rank(N^j) x dim W product R_j N gives both R_(j+1) and K[j+1]
+        (the RREF is unique, so K[j+1] is exactly the kernel basis of
+        N^(j+1)).  No power of N is formed, and the rows shrink with the
+        rank."""
         if (p, e) not in self._primary:
             T = self.T
             B, S = None, T
@@ -222,11 +230,12 @@ class ModuleStructure:
                     P, a = P * P, 2 * a
                 B = Matrix.from_cols(T.field, P.kernel_basis())
                 S = restriction(T, B)
-            N = P = eval_poly_at_matrix(p, S)
-            K = [[], N.kernel_basis()]
+            N = eval_poly_at_matrix(p, S)
+            R, basis = _kernel(N)
+            K = [[], basis]
             while len(K[-1]) < S.nrows:
-                P = P * N
-                K.append(P.kernel_basis())
+                R, basis = _kernel(R * N)
+                K.append(basis)
             self._primary[(p, e)] = B, S, N, K
         return self._primary[(p, e)]
 

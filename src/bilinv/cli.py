@@ -257,8 +257,17 @@ def _cmd_selftest(args) -> int:
 
 # --- argument parsing --------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An unknown option or a value that does not parse is an InputError,
+    reported as JSON with exit 2 like any other; subparsers inherit this
+    class.  --help still prints and exits 0."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bilinv",
         description="Invariant bilinear form decisions, witnesses and "
                     "unipotent isometry analysis over Q and F_p.")
@@ -320,10 +329,11 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+    except InputError as exc:
+        return _error_exit(exc)
+    except SystemExit as exc:     # --help
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)

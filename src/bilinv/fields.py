@@ -20,6 +20,12 @@ the line it spans, and ``ratio`` turns an integer over an integer back
 into a scalar.  Over Q these are the lcm of the denominators, removal of
 the row's content and ``Fraction(n, d)``; over F_p, the residues over
 d = 1, reduction mod p and n * d^-1 mod p.
+
+``eliminate`` is the elimination step on such rows: it clears one column
+of every row but the pivot row.  Over Q it is fraction-free, each row
+scaled by the gcd-reduced pivot and then divided by its content; over
+F_p the pivot row is scaled to 1 first, and each other row takes one
+pass (x - f*y) mod p from the pivot column on.
 """
 
 import math
@@ -81,7 +87,7 @@ class Field:
 
     # subclasses provide: zero, one, coerce, add, sub, mul, neg, inv,
     # div, is_zero, parse, to_str, dot, and the integer form of a row:
-    # clear, ratio, reduce_row
+    # clear, ratio, reduce_row, eliminate
 
 
 class RationalField(Field):
@@ -144,6 +150,21 @@ class RationalField(Field):
         """An integer row divided by the gcd of its entries."""
         g = math.gcd(*row)
         return [x // g for x in row] if g > 1 else row
+
+    def eliminate(self, rows, r: int, c: int) -> None:
+        """Clear column c of every integer row but rows[r], in place, by
+        fraction-free updates a*row - b*rows[r] with a/b = rows[r][c]/f
+        in lowest terms, each followed by content removal."""
+        reduce_row = self.reduce_row
+        prow = rows[r]
+        piv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(piv, f)
+                a, b = piv // g, f // g
+                rows[i] = reduce_row([a * x - b * y
+                                      for x, y in zip(row, prow)])
 
     def parse(self, text: str):
         text = text.strip()
@@ -229,6 +250,22 @@ class PrimeField(Field):
         """An integer row reduced mod p."""
         p = self.p
         return [x % p for x in row]
+
+    def eliminate(self, rows, r: int, c: int) -> None:
+        """Scale rows[r] so its entry at c is 1, then clear column c of
+        every other row, in place.  The pivot row is zero before column c
+        (elimination runs column by column), so only the columns from c
+        on change."""
+        p = self.p
+        prow = rows[r]
+        inv = pow(prow[c], -1, p)
+        rows[r] = prow = [x * inv % p for x in prow]
+        tail = prow[c:]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = row[:c] + [(x - f * y) % p
+                                     for x, y in zip(row[c:], tail)]
 
     def parse(self, text: str):
         text = text.strip()

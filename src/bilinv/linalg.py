@@ -7,18 +7,19 @@ path for both fields: each row or column is written as integers over one
 denominator by the field (`Field.clear`; over F_p the residues over 1),
 inner products are taken on Python ints, and the field turns each output
 integer over its denominator back into a scalar (`Field.ratio`).
-Elimination is fraction-free Gauss-Jordan, with each new row kept small
-by the field (`Field.reduce_row`: content removal over Q, reduction mod
-p over F_p) and one division by the pivot at the end; determinants are
-fraction-free Bareiss on the cleared rows (over F_p, on the integer lift
-of the residues, reduced mod p at the end).
+Elimination is Gauss-Jordan on the cleared rows, one column step at a
+time by the field (`Field.eliminate`): fraction-free over Q, with each
+new row divided by its content and one division by the pivot at the
+end; over F_p, with the pivot row scaled to 1 and one pass mod p per
+other row.  Determinants are fraction-free Bareiss on the cleared rows
+(over F_p, on the integer lift of the residues, reduced mod p at the
+end).
 
 The characteristic polynomial comes from reduction to upper Hessenberg
 form by similarity (Cohen, Alg. 2.2.9), which works in every
 characteristic.
 """
 
-import math
 from operator import mul
 
 from .errors import NotSquare, Singular
@@ -256,18 +257,7 @@ class Matrix:
         Deterministic reduced form: each vector carries 1 at its own free
         coordinate and 0 at every other free coordinate.
         """
-        F = self.field
-        R, pivots = _rref(self)
-        pivot_cols = {c: r for r, c in enumerate(pivots)}
-        free = [j for j in range(self.ncols) if j not in pivot_cols]
-        basis = []
-        for j in free:
-            v = [F.zero] * self.ncols
-            v[j] = F.one
-            for c, r in pivot_cols.items():
-                v[c] = F.neg(R.rows[r][j])
-            basis.append(tuple(v))
-        return basis
+        return _kernel(self)[1]
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -289,11 +279,7 @@ class Matrix:
         F = self.field
         aug = self.hstack(rhs)
         R, pivots = _rref(aug)
-        for r in range(len(pivots), self.nrows):
-            if any(not F.is_zero(R.rows[r][j])
-                   for j in range(self.ncols, aug.ncols)):
-                raise Singular("inconsistent linear system")
-        # a pivot inside the right block also means inconsistency
+        # a pivot inside the right block means inconsistency
         if any(p >= self.ncols for p in pivots):
             raise Singular("inconsistent linear system")
         rows = [[F.zero] * rhs.ncols for _ in range(self.ncols)]
@@ -304,14 +290,16 @@ class Matrix:
 
 
 def _rref(M: Matrix):
-    """Reduced row echelon form and pivot column list (deterministic).
+    """The non-zero rows of the reduced row echelon form, as a matrix, and
+    the pivot column list (deterministic).
 
-    Fraction-free Gauss-Jordan on the cleared rows: a row changes only by
-    nonzero multiples, so the row space and hence the (unique) RREF are
-    unchanged; pivot rows are divided out at the end."""
+    Gauss-Jordan on the cleared rows, one `Field.eliminate` step per
+    pivot column: a row changes only by nonzero multiples and by
+    multiples of the pivot row, so the row space and hence the (unique)
+    RREF are unchanged; pivot rows are divided out at the end."""
     F = M.field
     n = M.nrows
-    reduce_row = F.reduce_row
+    reduce_row, eliminate = F.reduce_row, F.eliminate
     rows = [reduce_row(F.clear(r)[0]) for r in M.rows]
     pivots = []
     r = 0
@@ -322,22 +310,32 @@ def _rref(M: Matrix):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        for i in range(n):
-            f = rows[i][c]
-            if i != r and f:
-                g = math.gcd(piv, f)
-                a, b = piv // g, f // g
-                rows[i] = reduce_row([a * x - b * y
-                                      for x, y in zip(rows[i], prow)])
+        eliminate(rows, r, c)
         pivots.append(c)
         r += 1
     ratio, zero = F.ratio, F.zero
     out = [[ratio(x, rows[i][c]) if x else zero for x in rows[i]]
            for i, c in enumerate(pivots)]
-    out += [[zero] * M.ncols for _ in range(n - r)]
     return Matrix(F, out, coerce=False, ncols=M.ncols), pivots
+
+
+def _kernel(M: Matrix):
+    """(R, basis): R the non-zero rows of the RREF of M, so its rank is
+    R.nrows, and the basis of the right kernel read off them (the form
+    `Matrix.kernel_basis` documents)."""
+    F = M.field
+    R, pivots = _rref(M)
+    pivot_cols = set(pivots)
+    basis = []
+    for j in range(M.ncols):
+        if j in pivot_cols:
+            continue
+        v = [F.zero] * M.ncols
+        v[j] = F.one
+        for row, c in zip(R.rows, pivots):
+            v[c] = F.neg(row[j])
+        basis.append(tuple(v))
+    return R, basis
 
 
 # --- characteristic polynomial ------------------------------------------------
@@ -389,16 +387,24 @@ def char_poly(T: Matrix) -> Poly:
 
 
 def eval_poly_at_matrix(f: Poly, T: Matrix) -> Matrix:
-    """f(T) as a matrix by Horner's rule, starting from lc(f) T + f_(d-1) I:
-    deg f - 1 matrix products."""
+    """f(T) as a matrix by Horner's rule, starting from lc(f) T + f_(d-1) I,
+    with each coefficient added on the diagonal: deg f - 1 matrix
+    products."""
     T.field.require_same(f.field)
     F = T.field
-    ident = Matrix.identity(F, T.nrows)
     if f.degree < 1:
-        return ident.scale(f.coeff(0))
-    acc = T.scale(f.lc) + ident.scale(f.coeffs[-2])
+        return Matrix.diagonal(F, [f.coeff(0)] * T.nrows)
+
+    def plus_scalar(A, c):
+        # A + c I
+        rows = [list(r) for r in A.rows]
+        for i, r in enumerate(rows):
+            r[i] = F.add(r[i], c)
+        return Matrix(F, rows, coerce=False)
+
+    acc = plus_scalar(T.scale(f.lc), f.coeffs[-2])
     for c in reversed(f.coeffs[:-2]):
-        acc = acc * T + ident.scale(c)
+        acc = plus_scalar(acc * T, c)
     return acc
 
 

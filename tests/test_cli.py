@@ -169,10 +169,18 @@ def test_selftest_smoke_and_determinism(capsys):
 
 
 def test_selftest_has_no_jobs_option(capsys):
-    # selftest runs in one process; --jobs is an unknown option
-    assert run(["selftest", "--seed", "13", "--count", "8",
-                "--jobs", "2"]) == 2
-    assert capsys.readouterr().out == ""
+    # selftest runs in one process; --jobs is an unknown option, reported
+    # as JSON on stdout like any other input error
+    code, out = run_json(capsys, ["selftest", "--seed", "13", "--count", "8",
+                                  "--jobs", "2"])
+    assert code == 2
+    assert out["error"] == {"kind": "InputError",
+                            "detail": "unrecognized arguments: --jobs 2"}
+
+
+def test_help_exits_zero(capsys):
+    assert run(["--help"]) == 0 and run(["selftest", "--help"]) == 0
+    assert "usage: bilinv" in capsys.readouterr().out
 
 
 SELFTEST = ["selftest", "--seed", "1"]
@@ -203,6 +211,7 @@ def _factoring(command, limit):
     (_factoring("construct", "0"), 2, "InputError", "--degree-limit"),
     (_factoring("infinitesimal", "-1"), 2, "InputError", "--degree-limit"),
     (_factoring("real", "0"), 2, "InputError", "--degree-limit"),
+    (SELFTEST + ["--count", "x"], 2, "InputError", "--count"),
 ])
 def test_bad_option_values(capsys, argv, code, kind, detail):
     got, out = run_json(capsys, argv)

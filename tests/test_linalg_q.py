@@ -2,11 +2,11 @@
 denominator for Q and F_p alike, against references kept here on the
 field's scalar methods: a schoolbook product, a textbook Gauss-Jordan
 RREF, a cofactor determinant, and f(T) and T^k v by matrix powers.  The
-elimination and product properties run over Q, F_7 and F_101.  Q inputs
-mix positive and negative denominators and large and small numerators;
-F_p inputs are arbitrary integers reduced mod p.  All of them include
-zero rows and the shapes 0 x 0, n x 0, 0 x n and 1 x n; a matrix with no
-rows keeps the width it was made with.
+elimination and product properties run over Q, F_2, F_7, F_101 and
+F_(2^61 - 1).  Q inputs mix positive and negative denominators and large
+and small numerators; F_p inputs are arbitrary integers reduced mod p.
+All of them include zero rows and the shapes 0 x 0, n x 0, 0 x n and
+1 x n; a matrix with no rows keeps the width it was made with.
 """
 
 import random
@@ -30,7 +30,9 @@ from linalg_reference import det_cofactor  # noqa: E402
 PROPERTY = settings(derandomize=True, database=None, max_examples=60,
                     deadline=None)
 
-PRIME_FIELDS = [PrimeField(7), PrimeField(101)]
+# F_2 has only the residues 0 and 1; 2^61 - 1 makes 122-bit products
+PRIME_FIELDS = [PrimeField(2), PrimeField(7), PrimeField(101),
+                PrimeField(2 ** 61 - 1)]
 over_fp = pytest.mark.parametrize("F", PRIME_FIELDS, ids=repr)
 
 scalars = st.builds(

@@ -84,6 +84,23 @@ def test_divisors_match_smith_reference(T):
     assert sum(s.dim for s in structure.summands) == T.nrows
 
 
+@PROPERTY
+@given(conjugates())
+def test_kernel_chain_matches_explicit_powers(T):
+    # primary reads ker N^(j+1) off the RREF rows of N^j times N; each
+    # step must give exactly the kernel basis of the explicit power
+    structure = ModuleStructure(T)
+    for p, e in structure.factorization:
+        if e < 2:
+            continue
+        _, S, N, K = structure.primary(p, e)
+        power = Matrix.identity(T.field, S.nrows)
+        for basis in K:
+            assert basis == power.kernel_basis()
+            power = power * N
+        assert len(K[-1]) == S.nrows and len(K[-2]) < S.nrows
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_char_poly_matches_sympy(field):
     sympy = pytest.importorskip("sympy")

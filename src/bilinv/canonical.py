@@ -4,10 +4,10 @@ rules that read form existence off the divisors.
 
 A `ModuleStructure` starts from the characteristic polynomial chi of T
 (`linalg.char_poly`) and factors it once.  For each p^e exactly dividing
-chi it works on W = ker p(T)^e, with T restricted to W: the kernel
-dimensions of the powers of p(T) give the multiplicities of the
-divisors p^k, and bases of those kernels give the generators of the
-cyclic summands.  `invariant_factors` and `min_poly` are read off the
+chi, the kernels of the powers of p(T) on V grow until they fill
+W = ker p(T)^e, of dimension deg p * e: their dimensions give the
+multiplicities of the divisors p^k, and their bases give the generators
+of the cyclic summands.  `invariant_factors` and `min_poly` are read off the
 divisors.  The Smith normal form of xI - T over F[x] (on `poly`'s F[x]
 kernel) is kept as an independent reference for the invariant factors.
 
@@ -188,8 +188,9 @@ class ModuleStructure:
     factored once by `factor` (with `seed` and `degree_limit`; over Q the
     cap applies to each Yun squarefree part).  For each p^e exactly
     dividing chi, the multiplicities of the divisors p^k are read off the
-    kernel dimensions of the powers of p(T) on W = ker p(T)^e; the
-    summands are built from those kernels when first asked for.
+    kernel dimensions of the powers of p(T) on V, up to the first power
+    whose kernel is W = ker p(T)^e; the summands are built from those
+    kernels when first asked for.
     """
 
     def __init__(self, T: Matrix, seed: int = 0,
@@ -209,34 +210,25 @@ class ModuleStructure:
         return list(factor(self.char_poly, self.seed, self.degree_limit))
 
     def primary(self, p: Poly, e: int):
-        """(B, S, N, K) for W = ker p(T)^e: B its basis as columns (None
-        when W = V), S = T on W, N = p(S), and K[j] the kernel basis of
-        N^j (`Matrix.kernel_basis`), j = 0, 1, ... up to the first j with
-        ker N^j = W.
+        """(N, K) for the p-primary component: N = p(T) on V, and K[j]
+        the kernel basis of N^j (`Matrix.kernel_basis`), j = 0, 1, ... up
+        to the first j with dim ker N^j = deg p * e, when ker N^j is all
+        of W = ker p(T)^e.
 
         The kernels form a chain: with R_j the non-zero rows of the RREF
         of N^j, R_j N has the row space of N^(j+1), so one elimination of
-        the rank(N^j) x dim W product R_j N gives both R_(j+1) and K[j+1]
+        the rank(N^j) x n product R_j N gives both R_(j+1) and K[j+1]
         (the RREF is unique, so K[j+1] is exactly the kernel basis of
         N^(j+1)).  No power of N is formed, and the rows shrink with the
         rank."""
         if (p, e) not in self._primary:
-            T = self.T
-            B, S = None, T
-            if p.degree * e != T.nrows:
-                # ker p(T)^e = ker p(T)^(2^a) for any 2^a >= e
-                P, a = eval_poly_at_matrix(p, T), 1
-                while a < e:
-                    P, a = P * P, 2 * a
-                B = Matrix.from_cols(T.field, P.kernel_basis())
-                S = restriction(T, B)
-            N = eval_poly_at_matrix(p, S)
+            N = eval_poly_at_matrix(p, self.T)
             R, basis = _kernel(N)
             K = [[], basis]
-            while len(K[-1]) < S.nrows:
+            while len(K[-1]) < p.degree * e:
                 R, basis = _kernel(R * N)
                 K.append(basis)
-            self._primary[(p, e)] = B, S, N, K
+            self._primary[(p, e)] = N, K
         return self._primary[(p, e)]
 
     def _counts(self, p, e):
@@ -245,7 +237,7 @@ class ModuleStructure:
         (dim ker N^j - dim ker N^(j-1)) / deg p."""
         if e == 1:
             return {1: 1}
-        dims = [len(basis) // p.degree for basis in self.primary(p, e)[3]]
+        dims = [len(basis) // p.degree for basis in self.primary(p, e)[1]]
         at_least = [b - a for a, b in zip(dims, dims[1:])] + [0]
         return {k: m for k, m in enumerate(
             (a - b for a, b in zip(at_least, at_least[1:])), 1) if m}
@@ -266,7 +258,7 @@ class ModuleStructure:
 
         The generators of the p^k summands are taken greedily from the
         basis of ker N^k, each independent modulo ker N^(k-1) + N ker
-        N^(k+1) and the F[x]/(p)-lines v, Sv, ..., S^(deg p - 1) v of
+        N^(k+1) and the F[x]/(p)-lines v, Tv, ..., T^(deg p - 1) v of
         those already taken (the cyclic decomposition theorem, Hoffman &
         Kunze, Linear Algebra, 7.2); each is expanded to its power basis
         under T.  The direct-sum property is verified exactly before
@@ -277,29 +269,28 @@ class ModuleStructure:
         n = T.nrows
         summands = []
         for p, e in self.factorization:
-            if e == 1:
-                # W = ker p(T) is one cyclic summand, generated by any
-                # nonzero vector of it
-                w = eval_poly_at_matrix(p, T).kernel_basis()[0]
-                summands.append(IndecomposableSummand(
-                    p, 1, 0, krylov_basis(T, w, p.degree)))
-                continue
-            B, S, N, K = self.primary(p, e)
+            N, K = self.primary(p, e)
             d, top = p.degree, len(K) - 1
             for k, m in self._counts(p, e).items():
-                # ker N^(k-1) + N ker N^(k+1), then the candidate lines; a
-                # line is independent of what precedes it iff its first
-                # vector is, so each pivot there marks a generator
-                base = K[k - 1] + [N.apply(u) for u in K[min(k + 1, top)]]
-                lines = [w for v in K[k] for w in krylov_basis(S, v, d).cols()]
-                pivots = set(_rref(Matrix.from_cols(F, base + lines))[1])
-                gens = [v for i, v in enumerate(K[k])
-                        if len(base) + i * d in pivots]
+                if e == 1:
+                    # ker p(T) is one cyclic summand, generated by any
+                    # nonzero vector of it
+                    gens = K[1][:1]
+                else:
+                    # ker N^(k-1) + N ker N^(k+1), then the candidate
+                    # lines; a line is independent of what precedes it iff
+                    # its first vector is, so each pivot there marks a
+                    # generator
+                    base = K[k - 1] + [N.apply(u) for u in K[min(k + 1, top)]]
+                    lines = [w for v in K[k]
+                             for w in krylov_basis(T, v, d).cols()]
+                    pivots = set(_rref(Matrix.from_cols(F, base + lines))[1])
+                    gens = [v for i, v in enumerate(K[k])
+                            if len(base) + i * d in pivots]
                 assert len(gens) == m, "generator count != multiplicity"
                 for v in gens:
-                    w = v if B is None else B.apply(v)
                     summands.append(IndecomposableSummand(
-                        p, k, 0, krylov_basis(T, w, d * k)))
+                        p, k, 0, krylov_basis(T, v, d * k)))
         summands.sort(key=lambda s: (s.p.degree, s.p.coeffs, s.k))
         counters: dict = {}
         for s in summands:

@@ -82,12 +82,18 @@ def check_nondegenerate(B: Matrix) -> bool:
     return True
 
 
-def verify_gram(M: Matrix, B: Matrix, symmetry: str, setting: str) -> dict:
-    """The three certificate checks, recomputed from scratch."""
+def require_kind(symmetry: str, setting: str) -> None:
+    """ValueError unless symmetry is one of SYMMETRIES and setting one of
+    SETTINGS."""
     if symmetry not in SYMMETRIES:
         raise ValueError(f"unknown symmetry {symmetry!r}")
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}")
+
+
+def verify_gram(M: Matrix, B: Matrix, symmetry: str, setting: str) -> dict:
+    """The three certificate checks, recomputed from scratch."""
+    require_kind(symmetry, setting)
     M.field.require_same(B.field)
     return {
         "invariance": check_invariance(M, B, setting),

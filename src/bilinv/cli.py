@@ -121,32 +121,14 @@ def _check_at_least(args, **bounds):
                              f"{low}, got {getattr(args, name)}")
 
 
-def _cmd_decide(args) -> int:
+def _cmd_form(args) -> int:
+    # decide, construct and infinitesimal: each subparser's set_defaults
+    # names the decision function, and construct is fixed there or given
+    # by the --construct flag
     _check_at_least(args, degree_limit=1)
-    _, T, _ = load_instance(args.instance)
-    report = decide_invariant_form(T, args.symmetry, seed=args.seed,
-                                   degree_limit=args.degree_limit)
-    _emit(report.to_json())
-    return 0
-
-
-def _cmd_construct(args) -> int:
-    _check_at_least(args, degree_limit=1)
-    _, T, _ = load_instance(args.instance)
-    report = decide_invariant_form(T, args.symmetry, construct=True,
-                                   seed=args.seed,
-                                   degree_limit=args.degree_limit)
-    _emit(report.to_json())
-    return 0
-
-
-def _cmd_infinitesimal(args) -> int:
-    _check_at_least(args, degree_limit=1)
-    _, S, _ = load_instance(args.instance)
-    report = decide_infinitesimal_form(S, args.symmetry,
-                                       construct=args.construct,
-                                       seed=args.seed,
-                                       degree_limit=args.degree_limit)
+    _, M, _ = load_instance(args.instance)
+    report = args.decide(M, args.symmetry, construct=args.construct,
+                         seed=args.seed, degree_limit=args.degree_limit)
     _emit(report.to_json())
     return 0
 
@@ -284,15 +266,17 @@ def _build_parser() -> argparse.ArgumentParser:
         if setting:
             p.add_argument("--setting", choices=SETTINGS, required=True)
 
-    common(sub.add_parser("decide", help="invariant-form existence"),
-           factoring=True, symmetry=True)
-    common(sub.add_parser("construct",
-                          help="existence plus a verified witness"),
-           factoring=True, symmetry=True)
+    p = sub.add_parser("decide", help="invariant-form existence")
+    common(p, factoring=True, symmetry=True)
+    p.set_defaults(decide=decide_invariant_form, construct=False)
+    p = sub.add_parser("construct", help="existence plus a verified witness")
+    common(p, factoring=True, symmetry=True)
+    p.set_defaults(decide=decide_invariant_form, construct=True)
     p = sub.add_parser("infinitesimal",
                        help="infinitesimally invariant form existence")
     common(p, factoring=True, symmetry=True)
     p.add_argument("--construct", action="store_true")
+    p.set_defaults(decide=decide_infinitesimal_form)
     common(sub.add_parser("verify", help="re-check a provided witness"),
            symmetry=True, setting=True)
     common(sub.add_parser("real", help="conjugacy to the inverse"),
@@ -316,9 +300,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "decide": _cmd_decide,
-    "construct": _cmd_construct,
-    "infinitesimal": _cmd_infinitesimal,
+    "decide": _cmd_form,
+    "construct": _cmd_form,
+    "infinitesimal": _cmd_form,
     "verify": _cmd_verify,
     "real": _cmd_real,
     "decompose": _cmd_decompose,

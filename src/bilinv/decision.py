@@ -33,7 +33,7 @@ from .canonical import (DUALITY, ODD_DIMENSION_SKEW, PARITY_DETAIL,
 from .canonical import (BAD_NILPOTENT_PARITY, BAD_UNIPOTENT_PARITY,  # noqa: F401
                         UNPAIRED_ADDITIVE_DUAL, UNPAIRED_DUAL)
 from .certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
-                           FormCertificate)
+                           FormCertificate, require_kind)
 from .errors import SmallCharacteristic, Singular
 from .linalg import Matrix
 from .poly import DEFAULT_DEGREE_LIMIT
@@ -81,8 +81,10 @@ def decide_form(M: Matrix, symmetry: str, setting: str,
 
     All violations are reported, not only the first.  With construct
     set, a witness certificate assembled from the same structure's
-    summands is attached to a positive report.
+    summands is attached to a positive report.  An unknown symmetry or
+    setting is a ValueError.
     """
+    require_kind(symmetry, setting)
     F = M.field
     n = M.nrows
     if not F.char_exceeds(n):

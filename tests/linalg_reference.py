@@ -1,11 +1,14 @@
 """Independent reference routes for the linear algebra tests: a cofactor
 determinant and the Faddeev-LeVerrier characteristic polynomial, written
 on the field's scalar methods only, so they share no code with the
-integer paths of `bilinv.linalg`.
+integer paths of `bilinv.linalg`; and the summand generators chosen in
+the coordinates of W = ker p(T)^e, with T restricted to W, against which
+the kernel chain that `ModuleStructure` runs on V is checked.
 """
 
+from bilinv.canonical import krylov_basis
 from bilinv.errors import NotSquare
-from bilinv.linalg import Matrix
+from bilinv.linalg import Matrix, _rref, eval_poly_at_matrix, restriction
 from bilinv.poly import Poly
 
 
@@ -58,3 +61,40 @@ def char_poly_faddeev(T: Matrix) -> Poly:
         ck = F.neg(F.div(trace(N), F.coerce(k)))
         coeffs.append(ck)
     return Poly(F, list(reversed(coeffs)))
+
+
+def summand_bases_on_kernels(T: Matrix, factorization):
+    """The bases of `ModuleStructure.summands`, in its order, with every
+    generator chosen on W = ker p(T)^e: B the kernel basis of p(T)^(2^a),
+    2^a >= e, S = T on W (`restriction`), the kernels of the explicit
+    powers of N = p(S), the same greedy selection, and each generator
+    mapped back to V by B."""
+    F = T.field
+    out = []
+    for p, e in factorization:
+        P, a = eval_poly_at_matrix(p, T), 1
+        while a < e:
+            P, a = P * P, 2 * a
+        B = Matrix.from_cols(F, P.kernel_basis())
+        S = restriction(T, B)
+        N = eval_poly_at_matrix(p, S)
+        K, power = [[]], N
+        while len(K[-1]) < S.nrows:
+            K.append(power.kernel_basis())
+            power = power * N
+        d, top = p.degree, len(K) - 1
+        dims = [len(basis) // d for basis in K]
+        at_least = [b - a for a, b in zip(dims, dims[1:])] + [0]
+        for k in range(1, top + 1):
+            if at_least[k - 1] == at_least[k]:
+                continue
+            base = K[k - 1] + [N.apply(u) for u in K[min(k + 1, top)]]
+            lines = [w for v in K[k] for w in krylov_basis(S, v, d).cols()]
+            pivots = set(_rref(Matrix.from_cols(F, base + lines))[1])
+            gens = [v for i, v in enumerate(K[k])
+                    if len(base) + i * d in pivots]
+            assert len(gens) == at_least[k - 1] - at_least[k]
+            out.extend((p, k, krylov_basis(T, B.apply(v), d * k))
+                       for v in gens)
+    out.sort(key=lambda t: (t[0].degree, t[0].coeffs, t[1]))
+    return [basis for _, _, basis in out]

@@ -6,13 +6,13 @@ import pytest
 
 import bilinv.canonical
 import bilinv.linalg
-from bilinv.certificates import SKEW, SYMMETRIC
+from bilinv.certificates import INVARIANT, SKEW, SYMMETRIC, verify_gram
 from bilinv.construction import (construct_infinitesimal_form,
                                  construct_invariant_form)
 from bilinv.decision import (BAD_UNIPOTENT_PARITY, ODD_DIMENSION_SKEW,
                              UNPAIRED_ADDITIVE_DUAL, UNPAIRED_DUAL,
-                             decide_infinitesimal_form, decide_invariant_form,
-                             decide_real)
+                             decide_form, decide_infinitesimal_form,
+                             decide_invariant_form, decide_real)
 from bilinv.errors import SmallCharacteristic, Singular
 from bilinv.fields import PrimeField, QQ
 from bilinv.linalg import Matrix, restriction
@@ -66,6 +66,19 @@ def test_preconditions():
         decide_invariant_form(Matrix.identity(PrimeField(3), 3), SYMMETRIC)
     # the zero-dimensional map carries the empty form
     assert decide_invariant_form(Matrix(QQ, []), SKEW).exists
+
+
+def test_unknown_symmetry_or_setting():
+    # a misspelt symmetry must not fall through to the skew parity rule
+    # (which skips the odd-dimension check), nor an unknown setting to a
+    # bare KeyError
+    J = Matrix.jordan_block(QQ, 1, 2)
+    with pytest.raises(ValueError, match="unknown symmetry 'Symmetric'"):
+        decide_invariant_form(J, "Symmetric")
+    with pytest.raises(ValueError, match="unknown setting 'bogus'"):
+        decide_form(J, SYMMETRIC, "bogus")
+    with pytest.raises(ValueError, match="unknown symmetry"):
+        verify_gram(J, Matrix.identity(QQ, 2), "Skew", INVARIANT)
 
 
 def test_infinitesimal_cases():

@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from bilinv.canonical import (ModuleStructure, _char_matrix,  # noqa: E402
                               divisor_multiset, smith_normal_form)
 from bilinv.fields import PrimeField, QQ  # noqa: E402
-from bilinv.linalg import Matrix, char_poly  # noqa: E402
+from bilinv.linalg import (Matrix, char_poly,  # noqa: E402
+                           eval_poly_at_matrix)
 from bilinv.poly import Poly, factor  # noqa: E402
+from linalg_reference import summand_bases_on_kernels  # noqa: E402
 
 FIELDS = (QQ, PrimeField(7), PrimeField(101))
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
@@ -87,18 +89,31 @@ def test_divisors_match_smith_reference(T):
 @PROPERTY
 @given(conjugates())
 def test_kernel_chain_matches_explicit_powers(T):
-    # primary reads ker N^(j+1) off the RREF rows of N^j times N; each
-    # step must give exactly the kernel basis of the explicit power
+    # primary runs on V and reads ker N^(j+1) off the RREF rows of N^j
+    # times N; each step must give exactly the kernel basis of the
+    # explicit power, and the chain must stop when it fills ker p(T)^e
     structure = ModuleStructure(T)
+    n = T.nrows
     for p, e in structure.factorization:
-        if e < 2:
-            continue
-        _, S, N, K = structure.primary(p, e)
-        power = Matrix.identity(T.field, S.nrows)
+        N, K = structure.primary(p, e)
+        assert N == eval_poly_at_matrix(p, T)
+        power = Matrix.identity(T.field, n)
         for basis in K:
+            assert all(len(v) == n for v in basis)
             assert basis == power.kernel_basis()
             power = power * N
-        assert len(K[-1]) == S.nrows and len(K[-2]) < S.nrows
+        assert len(K[-1]) == p.degree * e > len(K[-2])
+
+
+@PROPERTY
+@given(conjugates())
+def test_generators_match_restriction_reference(T):
+    # the chain on V picks exactly the generators that the route through
+    # the basis of W = ker p(T)^e and T restricted to W picks, mapped
+    # back to V
+    structure = ModuleStructure(T)
+    assert [s.basis for s in structure.summands] == \
+        summand_bases_on_kernels(T, structure.factorization)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

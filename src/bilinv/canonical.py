@@ -262,7 +262,9 @@ class ModuleStructure:
         those already taken (the cyclic decomposition theorem, Hoffman &
         Kunze, Linear Algebra, 7.2); each is expanded to its power basis
         under T.  The direct-sum property is verified exactly before
-        returning.
+        returning.  The summands come in the order of the factorization
+        (by degree, then coefficients of p) and by ascending k for each
+        p, and copy_index counts the copies of each p^k.
         """
         T = self.T
         F = T.field
@@ -288,15 +290,9 @@ class ModuleStructure:
                     gens = [v for i, v in enumerate(K[k])
                             if len(base) + i * d in pivots]
                 assert len(gens) == m, "generator count != multiplicity"
-                for v in gens:
+                for i, v in enumerate(gens):
                     summands.append(IndecomposableSummand(
-                        p, k, 0, krylov_basis(T, v, d * k)))
-        summands.sort(key=lambda s: (s.p.degree, s.p.coeffs, s.k))
-        counters: dict = {}
-        for s in summands:
-            key = s.divisor_key()
-            s.copy_index = counters.get(key, 0)
-            counters[key] = s.copy_index + 1
+                        p, k, i, krylov_basis(T, v, d * k)))
         if summands:
             whole = reduce(Matrix.hstack, [s.basis for s in summands])
             assert whole.ncols == n and whole.rank() == n, \

@@ -27,7 +27,7 @@ SETTINGS = (INVARIANT, INFINITESIMAL)
 
 
 def _raw_mul(field, A, B):
-    n, m, k = len(A), len(B[0]), len(B)
+    n, m, k = len(A), len(B[0]) if B else 0, len(B)
     out = [[field.zero] * m for _ in range(n)]
     for i in range(n):
         for j in range(m):

@@ -31,7 +31,7 @@ from .corpus import DEFAULT_FIELDS, corpus
 from .decision import (decide_infinitesimal_form, decide_invariant_form,
                        decide_real)
 from .errors import (CAPABILITY_ERRORS, BilinvError, InputError,
-                     SmallCharacteristic, UnverifiedForm)
+                     SmallCharacteristic, UnverifiedForm, ZeroInverse)
 from .fields import PrimeField, QQ, is_prime
 from .isometry import level_analysis, orthogonal_decomposition
 from .linalg import Matrix
@@ -62,7 +62,7 @@ def _parse_matrix(field, rows, what):
         raise InputError(f"{what} must be square")
     try:
         return Matrix(field, [[field.parse(str(e)) for e in r] for r in rows])
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, ZeroInverse) as exc:
         raise InputError(f"bad scalar in {what}: {exc}") from exc
 
 
@@ -72,7 +72,8 @@ def load_instance(path, need_gram=False):
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past the digit limit
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"instance must be a JSON object, got {data!r}")

@@ -252,7 +252,8 @@ def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
             blocks.append(hyperbolic_pairing(M, a, b, symmetry, setting))
             provenance.append(
                 f"{label}#{a.copy_index}{link}{b.copy_index}:{route}")
-    C = reduce(Matrix.hstack, [cols for cols, _ in blocks])
+    C = reduce(Matrix.hstack, [cols for cols, _ in blocks],
+               Matrix.zeros(F, M.nrows, 0))
     B_union = Matrix.block_diagonal(F, [gram for _, gram in blocks])
     Cinv = C.inverse()
     B = _share_transpose(Cinv.transpose() * B_union * Cinv, symmetry)

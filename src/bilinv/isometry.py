@@ -17,6 +17,13 @@ minimal polynomial is a power of x + 1):
     pairing and leaves all higher levels alone, so the sweep terminates
     with exact zeros.
 
+The peel runs on V with N and B fixed; only an n x d column basis C of
+the current subspace shrinks, from the identity.  v (a column c_i, else
+a sum c_i + c_j) is read off the top Gram C^t B N^(k-1) C, k the least
+level with N^k C = 0, and the complement of a summand X is C times the
+kernel of X^t B C.  C is injective, so B(C x, N^j C y) is what the form
+and map restricted to the subspace give at (x, y).
+
 The Witt index over F_p (p odd) is read off the classification of
 quadratic forms over finite fields (Serre, *A Course in Arithmetic*,
 Ch. IV): a non-degenerate symmetric form is fixed up to isometry by its
@@ -34,7 +41,7 @@ from .certificates import (INVARIANT, SKEW, SYMMETRIC, FormCertificate,
 from .errors import (Degenerate, NotSquare, NotUnipotent, NotUnipotentType,
                      RationalsUnsupported, SmallCharacteristic)
 from .fields import PrimeField
-from .linalg import Matrix, restriction
+from .linalg import Matrix
 
 ODD_INDECOMPOSABLE = "OddIndecomposable"
 EVEN_INDECOMPOSABLE = "EvenIndecomposable"
@@ -95,20 +102,20 @@ def _unipotent_type(T: Matrix):
     for W in (T, -T):
         N = W - ident
         try:
-            return (N,) + _nilpotency_level(N)
+            return (N,) + _level(N, ident)
         except NotUnipotent:
             continue
     raise NotUnipotentType(
         "minimal polynomial is not a power of (x - 1) or (x + 1)")
 
 
-def _nilpotency_level(N: Matrix):
-    """(k, N^(k-1)) for the least k with N^k = 0 (N^-1 is None when N is
-    empty)."""
-    k, prev = 0, None
-    P = Matrix.identity(N.field, N.nrows)
+def _level(N: Matrix, C: Matrix):
+    """(k, N^(k-1) C) for the least k with N^k C = 0 (None for N^-1 C
+    when C has no columns); NotUnipotent if N is not nilpotent on the
+    column span of C."""
+    k, prev, P = 0, None, C
     while not P.is_zero():
-        prev, P = P, P * N
+        prev, P = P, N * P
         k += 1
         if k > N.nrows:
             raise NotUnipotent("matrix is not unipotent")
@@ -168,59 +175,47 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
     if F.characteristic == 2:
         raise SmallCharacteristic("characteristic 2 is out of scope")
     B, symmetry = _verified_form(T, form)
-    N, k, nk1 = _unipotent_type(T)
-    B_cur = B
-    cols = Matrix.identity(F, T.nrows)  # ambient basis of the current subspace
+    N, k, top = _unipotent_type(T)
+    C = Matrix.identity(F, T.nrows)  # column basis of the current subspace
     summands = []
-    while cols.ncols > 0:
-        d = cols.ncols
+    while C.ncols:
+        d = C.ncols
         if natural_parity_ok(k, symmetry):
-            M2 = B_cur * nk1
-            v = None
-            for i in range(d):
-                if not F.is_zero(M2.rows[i][i]):
-                    v = tuple(F.one if t == i else F.zero for t in range(d))
-                    break
+            G = C.transpose() * B * top     # B(c_i, N^(k-1) c_j)
+            v = next((C.col(i) for i in range(d)
+                      if not F.is_zero(G.rows[i][i])), None)
             if v is None:
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        val = F.add(F.add(M2.rows[i][i], M2.rows[j][j]),
-                                    F.add(M2.rows[i][j], M2.rows[j][i]))
-                        if not F.is_zero(val):
-                            v = tuple(F.one if t in (i, j) else F.zero
-                                      for t in range(d))
-                            break
-                    if v is not None:
-                        break
+                v = next((tuple(map(F.add, C.col(i), C.col(j)))
+                          for i in range(d) for j in range(i + 1, d)
+                          if not F.is_zero(F.add(
+                              F.add(G.rows[i][i], G.rows[j][j]),
+                              F.add(G.rows[i][j], G.rows[j][i])))), None)
             assert v is not None, "no anisotropic top chain found"
-            local = krylov_basis(N, v, k)
+            X = krylov_basis(N, v, k)
             kind = ODD_INDECOMPOSABLE if symmetry == SYMMETRIC \
                 else EVEN_INDECOMPOSABLE
-            summands.append(OrthogonalSummand(
-                (cols * local).transpose(), kind, k))
         else:
-            u = next(tuple(F.one if t == i else F.zero for t in range(d))
-                     for i in range(d)
-                     if any(not F.is_zero(c) for c in nk1.col(i)))
-            lhs = Matrix(F, [B_cur.apply(nk1.apply(u))], coerce=False)
-            w = tuple(lhs.solve_right(
+            i = next(i for i in range(d)
+                     if any(not F.is_zero(c) for c in top.col(i)))
+            u = C.col(i)
+            lhs = Matrix(F, [C.transpose().apply(B.apply(top.col(i)))],
+                         coerce=False)
+            w = C.apply(lhs.solve_right(
                 Matrix(F, [[F.one]], coerce=False)).col(0))
-            u = _isotropize(F, B_cur, N, k, u, w)
-            w = _isotropize(F, B_cur, N, k, w, u)
-            local = krylov_basis(N, u, k).hstack(krylov_basis(N, w, k))
-            summands.append(OrthogonalSummand(
-                (cols * local).transpose(), STANDARD_PAIR, k))
-        gram = local.transpose() * B_cur * local
-        assert not F.is_zero(gram.det()), "summand restriction degenerate"
+            u = _isotropize(F, B, N, k, u, w)
+            w = _isotropize(F, B, N, k, w, u)
+            X = krylov_basis(N, u, k).hstack(krylov_basis(N, w, k))
+            kind = STANDARD_PAIR
+        summands.append(OrthogonalSummand(X.transpose(), kind, k))
+        XtB = X.transpose() * B
+        assert not F.is_zero((XtB * X).det()), \
+            "summand restriction degenerate"
         # B-orthogonal complement inside the current subspace
-        Z = (local.transpose() * B_cur).kernel_basis()
+        Z = (XtB * C).kernel_basis()
         if not Z:
             break
-        Zm = Matrix.from_cols(F, Z)
-        cols = cols * Zm
-        N = restriction(N, Zm)
-        B_cur = Zm.transpose() * B_cur * Zm
-        k, nk1 = _nilpotency_level(N)
+        C = C * Matrix.from_cols(F, Z)
+        k, top = _level(N, C)
     report = OrthogonalSummandReport(summands, symmetry)
     _validate_orthogonal_report(T, B, report)
     return report
@@ -300,7 +295,8 @@ def level_analysis(T: Matrix, form) -> LevelReport:
             "level analysis needs the Witt index, available over F_p only")
     B, symmetry = _verified_form(T, form)
     n = T.nrows
-    k, _ = _nilpotency_level(T - Matrix.identity(F, n))
+    ident = Matrix.identity(F, n)
+    k, _ = _level(T - ident, ident)
     l = witt_index(B)
     if symmetry == SYMMETRIC:
         if k <= l:

@@ -137,31 +137,35 @@ class Matrix:
             " ".join(self.field.to_str(c) for c in row) for row in self.rows)
         return f"Matrix({self.field!r}, [{body}])"
 
-    def _check(self, other):
+    def _check(self, other, *dims):
+        """Same field, and ValueError unless the named dimensions agree."""
         if not isinstance(other, Matrix):
             raise TypeError(f"expected Matrix, got {other!r}")
         self.field.require_same(other.field)
+        if any(getattr(self, d) != getattr(other, d) for d in dims):
+            raise ValueError(f"incompatible shapes {self.nrows}x{self.ncols}"
+                             f" and {other.nrows}x{other.ncols}")
 
     # --- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
+        self._check(other, "nrows", "ncols")
         F = self.field
         return Matrix(F, [[F.add(a, b) for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.rows, other.rows)],
-                      coerce=False)
+                      coerce=False, ncols=self.ncols)
 
     def __sub__(self, other):
-        self._check(other)
+        self._check(other, "nrows", "ncols")
         F = self.field
         return Matrix(F, [[F.sub(a, b) for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.rows, other.rows)],
-                      coerce=False)
+                      coerce=False, ncols=self.ncols)
 
     def __neg__(self):
         F = self.field
         return Matrix(F, [[F.neg(a) for a in r] for r in self.rows],
-                      coerce=False)
+                      coerce=False, ncols=self.ncols)
 
     def __mul__(self, other):
         self._check(other)
@@ -179,7 +183,7 @@ class Matrix:
         F = self.field
         c = F.coerce(c)
         return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows],
-                      coerce=False)
+                      coerce=False, ncols=self.ncols)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.rows)) or [()] * self.ncols,
@@ -198,7 +202,7 @@ class Matrix:
         return all(F.is_zero(c) for r in self.rows for c in r)
 
     def hstack(self, other) -> "Matrix":
-        self._check(other)
+        self._check(other, "nrows")
         return Matrix(self.field,
                       [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
                       coerce=False, ncols=self.ncols + other.ncols)

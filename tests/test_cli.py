@@ -138,6 +138,15 @@ def test_bad_instance_files(tmp_path, capsys):
     path = write_instance(tmp_path, "huge.json", "Q", [["1e10000000"]])
     code, out = run_json(capsys, ["decide", path, "--symmetry", "skew"])
     assert code == 2 and out["error"]["kind"] == "InputError"
+    # an integer literal past the int digit limit fails inside json.load
+    path = tmp_path / "bigint.json"
+    path.write_text('{"field": "Q", "matrix": [[' + "1" * 5000 + "]]}")
+    code, out = run_json(capsys, ["decide", str(path), "--symmetry", "skew"])
+    assert code == 2 and out["error"]["kind"] == "InputError"
+    path = write_instance(tmp_path, "zinv.json", {"Fp": 101}, [["1/101"]])
+    code, out = run_json(capsys, ["decide", path, "--symmetry", "skew"])
+    assert code == 2 and out["error"]["kind"] == "InputError"
+    assert out["error"]["detail"].startswith("bad scalar")
     for value in (5, []):
         path = tmp_path / "notobj.json"
         path.write_text(json.dumps(value))

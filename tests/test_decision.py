@@ -68,6 +68,17 @@ def test_preconditions():
     assert decide_invariant_form(Matrix(QQ, []), SKEW).exists
 
 
+def test_empty_map_certificate():
+    # the empty form is also constructed and verified, not only decided
+    for field in (QQ, PrimeField(7)):
+        E = Matrix(field, [])
+        for symmetry in (SYMMETRIC, SKEW):
+            for decide in (decide_invariant_form, decide_infinitesimal_form):
+                witness = decide(E, symmetry, construct=True).witness
+                assert witness.gram == E and witness.provenance == []
+            assert all(verify_gram(E, E, symmetry, INVARIANT).values())
+
+
 def test_unknown_symmetry_or_setting():
     # a misspelt symmetry must not fall through to the skew parity rule
     # (which skips the odd-dimension check), nor an unknown setting to a

@@ -1,6 +1,7 @@
 """Golden outputs: sha256 digests of the canonical JSON of the Smith
 diagonal of xI - T and of the constructed certificate, on seeded
-instances over F_101, F_257 and Q.
+instances over F_101, F_257 and Q, and of the orthogonal decomposition
+of seeded unipotent-type isometries over F_7, F_101 and Q.
 
 The digests pin the exact output, not just its correctness: a kernel
 rewrite that keeps the pivot order, the row and column operations and
@@ -18,9 +19,13 @@ import pytest
 from bilinv.canonical import _char_matrix, smith_normal_form
 from bilinv.certificates import SKEW, SYMMETRIC
 from bilinv.construction import (construct_infinitesimal_form,
-                                 construct_invariant_form)
+                                 construct_invariant_form,
+                                 unipotent_block_form)
+from bilinv.corpus import jordan_matrix
 from bilinv.fields import PrimeField, QQ
+from bilinv.isometry import orthogonal_decomposition
 from bilinv.linalg import Matrix
+from bilinv.oracle import find_nondegenerate, solve_form_space
 from bilinv.poly import Poly
 
 
@@ -152,6 +157,94 @@ def test_golden_outputs(name):
     assert golden_digests(name) == GOLDEN[name]
 
 
+# name -> (field, Jordan type, eigenvalue, conjugation seed, symmetry,
+# Gram source).  Every peel path is covered: both signs of the eigenvalue,
+# both symmetries, anisotropic chains found on a column and on a sum of
+# two columns, and standard pairs (even chains of a symmetric form, odd
+# chains of a skew one).  "oracle" Grams come from the equation solver
+# and share no block alignment with the peel, so its sweeps run.
+# "hyperbolic" instances are not conjugated: two copies of a lower
+# bidiagonal block paired only across the copies, so every column is
+# isotropic at the top level and the peel takes a sum of two columns.
+DECOMPOSITIONS = {
+    "fp101-plus-symmetric": (PrimeField(101), (3, 2, 2, 1), 1, 21,
+                             SYMMETRIC, "construct"),
+    "fp101-minus-skew": (PrimeField(101), (4, 3, 3, 2), -1, 22,
+                         SKEW, "construct"),
+    "fp101-plus-symmetric-oracle": (PrimeField(101), (2, 2, 1, 1), 1, 23,
+                                    SYMMETRIC, "oracle"),
+    "fp101-minus-skew-oracle": (PrimeField(101), (3, 3, 2), -1, 24,
+                                SKEW, "oracle"),
+    "f7-minus-symmetric": (PrimeField(7), (2, 2, 1, 1), -1, 25,
+                           SYMMETRIC, "construct"),
+    "f7-plus-skew": (PrimeField(7), (2, 2, 1, 1), 1, 26, SKEW, "construct"),
+    "f7-plus-symmetric-oracle": (PrimeField(7), (3, 1, 1, 1), 1, 27,
+                                 SYMMETRIC, "oracle"),
+    "q-plus-symmetric": (QQ, (3, 2, 2, 1), 1, 28, SYMMETRIC, "construct"),
+    "q-minus-symmetric": (QQ, (2, 2, 1), -1, 29, SYMMETRIC, "construct"),
+    "q-plus-skew": (QQ, (3, 3, 2), 1, 30, SKEW, "construct"),
+    "q-minus-skew": (QQ, (2, 1, 1), -1, 31, SKEW, "construct"),
+    "q-minus-symmetric-hyperbolic": (QQ, (3, 3), -1, None, SYMMETRIC,
+                                     "hyperbolic"),
+    "f7-plus-skew-hyperbolic": (PrimeField(7), (2, 2), 1, None, SKEW,
+                                "hyperbolic"),
+}
+
+# sha256 of orthogonal_decomposition(T, B).to_json(), computed with the
+# peel that restricted N and conjugated the Gram at every step; the peel
+# on V must reproduce them
+GOLDEN_DECOMPOSITIONS = {
+    "f7-minus-symmetric":
+        "fd0200d68e2f098b43f83be313d7ddd3690666d2fcc82a6c988ef6f216b04422",
+    "f7-plus-skew":
+        "a88a8eb6b68de0a3742354a47fb37a6350aa969426767c76f43835db0fb1bcc5",
+    "f7-plus-skew-hyperbolic":
+        "f2e423169dedbed203b6b71bc5b6422b26a62d3be1975389e2781b8fbbb0546e",
+    "f7-plus-symmetric-oracle":
+        "862712f1f1094958f40d67a124ed6ff96baca3f187ad9baa412b67af6c3cb4b9",
+    "fp101-minus-skew":
+        "833922e742175258a53169e9eff3ad8081154367ac784129474182127cb97a99",
+    "fp101-minus-skew-oracle":
+        "d8cc578e02677b3330e7129c9a8c0ccb4a00b52ed6ba644553ef33c8b607d532",
+    "fp101-plus-symmetric":
+        "be85d9aeb24af3d4b3bb8446887d918531420a5dfa476fabb1e8ef87d58f6494",
+    "fp101-plus-symmetric-oracle":
+        "a910bbbd12bd087e67ef8de78a76e36b977edab4bbe78934ec5ce8701b90f5ba",
+    "q-minus-skew":
+        "a852d573da3ec0a19d9d70457245159807b978fcd3ffc1dcd4e32ad382870f10",
+    "q-minus-symmetric":
+        "22dd9e51ba68dd705a6fa6b15b4e9611dca144ecd0ec3a12a5b5b3f13c8e3b72",
+    "q-minus-symmetric-hyperbolic":
+        "d6898dabb70ece8f36a62302255f5891ca578d2f051fd592bb334c41034cf024",
+    "q-plus-skew":
+        "cb23f22824af5594d1ffdff915507413d98e0a3819c413a958e8f617d41105ad",
+    "q-plus-symmetric":
+        "cc7adbf83433a3d4af5db0a0e8bf6bb4442269c163a08c1a91e77ae36923112e",
+}
+
+
+def decomposition_digest(name):
+    field, parts, lam, seed, symmetry, source = DECOMPOSITIONS[name]
+    if source == "hyperbolic":
+        k = parts[0]
+        U = Matrix.jordan_block(field, 1, k).transpose().scale(lam)
+        A = unipotent_block_form(field, k, symmetry)
+        Z = Matrix.zeros(field, k, k)
+        T = Matrix.block_diagonal(field, [U, U])
+        B = Matrix(field, Z.hstack(A).rows + A.hstack(Z).rows)
+    else:
+        T = _conjugate(field, jordan_matrix(field, parts, lam), seed)
+        B = (find_nondegenerate(solve_form_space(T, symmetry), seed=seed)
+             if source == "oracle"
+             else construct_invariant_form(T, symmetry).gram)
+    return _digest(orthogonal_decomposition(T, B).to_json())
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+def test_golden_decompositions(name):
+    assert decomposition_digest(name) == GOLDEN_DECOMPOSITIONS[name]
+
+
 def _bits(M) -> int:
     return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
                for row in M.rows for x in row)
@@ -195,3 +288,5 @@ def test_q10_witness_entries_stay_small(name):
 if __name__ == "__main__":
     for name in sorted(INSTANCES):
         print(f"    {name!r}: {golden_digests(name)!r},")
+    for name in sorted(DECOMPOSITIONS):
+        print(f"    {name!r}: {decomposition_digest(name)!r},")

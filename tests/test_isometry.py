@@ -42,6 +42,16 @@ def test_orthogonal_decomposition_examples():
         [(EVEN_INDECOMPOSABLE, 2)]
 
 
+def test_empty_map():
+    for field in (QQ, F101):
+        E = Matrix(field, [])
+        assert orthogonal_decomposition(E, E).to_json() == \
+            {"symmetry": SYMMETRIC, "summands": []}
+    assert level_analysis(Matrix(F101, []), Matrix(F101, [])).to_json() == \
+        {"level": 0, "witt_index": 0, "dim": 0, "bound_case": "WithinWitt",
+         "bound_satisfied": True}
+
+
 def test_orthogonal_decomposition_rejects():
     T = Matrix.diagonal(F101, [2, 51])   # 2 * 51 = 102 = 1 mod 101
     cert = construct_invariant_form(T, SYMMETRIC)

@@ -83,6 +83,22 @@ def test_inverse_and_singular():
         Matrix(QQ, [[1, 1], [1, 1]]).inverse()
 
 
+def test_shape_mismatch_raises():
+    # sums and stacks used to zip mismatched shapes down to the smaller one
+    A = Matrix(QQ, [[1, 2, 3], [4, 5, 6]])
+    B = Matrix.identity(QQ, 2)
+    for op in (lambda: A - B, lambda: A + B, lambda: B + A,
+               lambda: B.hstack(Matrix(QQ, [[1]])), lambda: A * A,
+               lambda: Matrix.zeros(QQ, 0, 3) - Matrix.zeros(QQ, 0, 2)):
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            op()
+    assert B.hstack(Matrix.zeros(QQ, 2, 0)) == B
+    # a matrix with no rows keeps its width through every entrywise step
+    E = Matrix.zeros(QQ, 0, 3)
+    assert [M.ncols for M in (E + E, E - E, -E, E.scale(2))] == [3] * 4
+    assert A.hstack(B) == Matrix(QQ, [[1, 2, 3, 1, 0], [4, 5, 6, 0, 1]])
+
+
 def test_restriction_invariant_subspace():
     T = Matrix.block_diagonal(QQ, [Matrix.jordan_block(QQ, 2, 2),
                                    Matrix.identity(QQ, 1)])

@@ -116,6 +116,20 @@ def test_generators_match_restriction_reference(T):
         summand_bases_on_kernels(T, structure.factorization)
 
 
+@PROPERTY
+@given(conjugates())
+def test_summands_in_divisor_order(T):
+    # built in the order of the factorization and of ascending k, with
+    # copy_index counting the copies of each p^k; nothing sorts them after
+    summands = ModuleStructure(T).summands
+    keys = [(s.p.degree, s.p.coeffs, s.k) for s in summands]
+    assert keys == sorted(keys)
+    seen = {}
+    for s in summands:
+        assert s.copy_index == seen.get(s.divisor_key(), 0)
+        seen[s.divisor_key()] = s.copy_index + 1
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_char_poly_matches_sympy(field):
     sympy = pytest.importorskip("sympy")

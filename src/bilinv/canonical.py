@@ -185,20 +185,18 @@ class ModuleStructure:
     Holds the characteristic polynomial chi of T, so `invertible` (chi(0)
     nonzero) is known on construction, before anything is factored, and
     callers can reject a singular map first.  On first use chi is
-    factored once by `factor` (with `seed` and `degree_limit`; over Q the
-    cap applies to each Yun squarefree part).  For each p^e exactly
-    dividing chi, the multiplicities of the divisors p^k are read off the
-    kernel dimensions of the powers of p(T) on V, up to the first power
-    whose kernel is W = ker p(T)^e; the summands are built from those
-    kernels when first asked for.
+    factored once by `factor` (over Q, `degree_limit` caps each Yun
+    squarefree part).  For each p^e exactly dividing chi, the
+    multiplicities of the divisors p^k are read off the kernel dimensions
+    of the powers of p(T) on V, up to the first power whose kernel is
+    W = ker p(T)^e; the summands are built from those kernels when first
+    asked for.
     """
 
-    def __init__(self, T: Matrix, seed: int = 0,
-                 degree_limit: int = DEFAULT_DEGREE_LIMIT):
+    def __init__(self, T: Matrix, degree_limit: int = DEFAULT_DEGREE_LIMIT):
         if not T.is_square:
             raise NotSquare("module structure of a non-square matrix")
         self.T = T
-        self.seed = seed
         self.degree_limit = degree_limit
         self.char_poly = char_poly(T)
         self.invertible = not T.field.is_zero(self.char_poly.constant_term())
@@ -207,7 +205,7 @@ class ModuleStructure:
     @cached_property
     def factorization(self):
         """[(p, e)] with p^e exactly dividing chi, by p."""
-        return list(factor(self.char_poly, self.seed, self.degree_limit))
+        return list(factor(self.char_poly, self.degree_limit))
 
     def primary(self, p: Poly, e: int):
         """(N, K) for the p-primary component: N = p(T) on V, and K[j]
@@ -322,17 +320,16 @@ def min_poly(T: Matrix) -> Poly:
     return diag[-1] if diag else Poly.one(T.field)
 
 
-def elementary_divisors(T: Matrix, seed: int = 0,
-                        degree_limit: int = DEFAULT_DEGREE_LIMIT):
+def elementary_divisors(T: Matrix, degree_limit: int = DEFAULT_DEGREE_LIMIT):
     """Complete multiset of elementary divisors, deterministically ordered."""
-    return ModuleStructure(T, seed, degree_limit).elementary_divisors
+    return ModuleStructure(T, degree_limit).elementary_divisors
 
 
-def indecomposable_decomposition(T: Matrix, seed: int = 0,
+def indecomposable_decomposition(T: Matrix,
                                  degree_limit: int = DEFAULT_DEGREE_LIMIT):
     """Split V into T-cyclic summands, one per elementary divisor copy
     (see `ModuleStructure.summands`)."""
-    return ModuleStructure(T, seed, degree_limit).summands
+    return ModuleStructure(T, degree_limit).summands
 
 
 # --- duality rules -------------------------------------------------------------

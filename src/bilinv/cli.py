@@ -6,16 +6,16 @@ Instance file schema:
      "matrix": [["1", "1/2"], ["0", "1"]],
      "gram":   optional, same shape}
 
-decide, construct, infinitesimal and real take --seed (the seed of the
-randomized F_p factorization) and --degree-limit (the degree cap of
-factorization over Q, at least 1); verify, decompose and level factor
-nothing and take neither.
+decide, construct, infinitesimal and real take --degree-limit (the
+degree cap of factorization over Q, at least 1); verify, decompose and
+level factor nothing and do not take it.  Only oracle and selftest take
+--seed: it seeds the oracle's random search and the selftest corpus.
 
 Exit codes: 0 computed (even when the answer is "no form exists"),
 1 verification failure, 2 input error, 3 capability error (degree limit,
-rationals unsupported, small characteristic, group too large), 4 internal
-error (a failed internal consistency check or any other unexpected
-exception: a bug, never an answer about the input).
+rationals unsupported, small characteristic), 4 internal error (a failed
+internal consistency check or any other unexpected exception: a bug,
+never an answer about the input).
 All errors are also reported as {"error": {"kind", "detail"}} on stdout,
 with kind "InternalError" for exit code 4.
 """
@@ -129,7 +129,7 @@ def _cmd_form(args) -> int:
     _check_at_least(args, degree_limit=1)
     _, M, _ = load_instance(args.instance)
     report = args.decide(M, args.symmetry, construct=args.construct,
-                         seed=args.seed, degree_limit=args.degree_limit)
+                         degree_limit=args.degree_limit)
     _emit(report.to_json())
     return 0
 
@@ -145,22 +145,15 @@ def _cmd_verify(args) -> int:
 def _cmd_real(args) -> int:
     _check_at_least(args, degree_limit=1)
     _, T, _ = load_instance(args.instance)
-    report = decide_real(T, seed=args.seed, degree_limit=args.degree_limit)
+    report = decide_real(T, degree_limit=args.degree_limit)
     _emit(report.to_json())
     return 0
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_isometry(args) -> int:
+    # decompose and level: each subparser's set_defaults names the analysis
     _, T, gram = load_instance(args.instance, need_gram=True)
-    report = orthogonal_decomposition(T, gram)
-    _emit(report.to_json())
-    return 0
-
-
-def _cmd_level(args) -> int:
-    _, T, gram = load_instance(args.instance, need_gram=True)
-    report = level_analysis(T, gram)
-    _emit(report.to_json())
+    _emit(args.analyze(T, gram).to_json())
     return 0
 
 
@@ -259,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, factoring=False, symmetry=False, setting=False):
         p.add_argument("instance", help="path to a JSON instance file")
         if factoring:
-            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--degree-limit", type=int, default=24)
         if symmetry:
             p.add_argument("--symmetry", choices=(SYMMETRIC, SKEW),
@@ -282,9 +274,13 @@ def _build_parser() -> argparse.ArgumentParser:
            symmetry=True, setting=True)
     common(sub.add_parser("real", help="conjugacy to the inverse"),
            factoring=True)
-    common(sub.add_parser("decompose",
-                          help="orthogonal decomposition (needs gram)"))
-    common(sub.add_parser("level", help="unipotent level bounds (needs gram)"))
+    p = sub.add_parser("decompose",
+                       help="orthogonal decomposition (needs gram)")
+    common(p)
+    p.set_defaults(analyze=orthogonal_decomposition)
+    p = sub.add_parser("level", help="unipotent level bounds (needs gram)")
+    common(p)
+    p.set_defaults(analyze=level_analysis)
     p = sub.add_parser("oracle", help="solve the invariance equations")
     p.add_argument("instance")
     p.add_argument("--symmetry", choices=(SYMMETRIC, SKEW), required=True)
@@ -306,8 +302,8 @@ _COMMANDS = {
     "infinitesimal": _cmd_form,
     "verify": _cmd_verify,
     "real": _cmd_real,
-    "decompose": _cmd_decompose,
-    "level": _cmd_level,
+    "decompose": _cmd_isometry,
+    "level": _cmd_isometry,
     "oracle": _cmd_oracle,
     "selftest": _cmd_selftest,
 }

@@ -275,9 +275,9 @@ def _share_transpose(B: Matrix, symmetry: str) -> Matrix:
     return Matrix(F, rows, coerce=False)
 
 
-def _construct(M: Matrix, symmetry: str, setting: str, seed: int,
+def _construct(M: Matrix, symmetry: str, setting: str,
                degree_limit: int) -> FormCertificate:
-    report = decide_form(M, symmetry, setting, construct=True, seed=seed,
+    report = decide_form(M, symmetry, setting, construct=True,
                          degree_limit=degree_limit)
     if not report.exists:
         kinds = sorted({o.kind for o in report.obstructions})
@@ -285,18 +285,18 @@ def _construct(M: Matrix, symmetry: str, setting: str, seed: int,
     return report.witness
 
 
-def construct_invariant_form(T: Matrix, symmetry: str, seed: int = 0,
+def construct_invariant_form(T: Matrix, symmetry: str,
                              degree_limit: int = DEFAULT_DEGREE_LIMIT
                              ) -> FormCertificate:
     """Assemble and verify a T-invariant non-degenerate witness of the
     requested symmetry; DecisionFalse when none exists.  This is
-    decide_invariant_form(..., construct=True) with the same seed and
-    degree_limit, returning the witness."""
-    return _construct(T, symmetry, INVARIANT, seed, degree_limit)
+    decide_invariant_form(..., construct=True) with the same degree_limit,
+    returning the witness."""
+    return _construct(T, symmetry, INVARIANT, degree_limit)
 
 
-def construct_infinitesimal_form(S: Matrix, symmetry: str, seed: int = 0,
+def construct_infinitesimal_form(S: Matrix, symmetry: str,
                                  degree_limit: int = DEFAULT_DEGREE_LIMIT
                                  ) -> FormCertificate:
     """Same as construct_invariant_form, for S^t B + B S = 0."""
-    return _construct(S, symmetry, INFINITESIMAL, seed, degree_limit)
+    return _construct(S, symmetry, INFINITESIMAL, degree_limit)

@@ -75,7 +75,7 @@ class DecisionReport:
 
 
 def decide_form(M: Matrix, symmetry: str, setting: str,
-                construct: bool = False, seed: int = 0,
+                construct: bool = False,
                 degree_limit: int = DEFAULT_DEGREE_LIMIT) -> DecisionReport:
     """The decision rule of DUALITY[setting] on one ModuleStructure of M.
 
@@ -90,7 +90,7 @@ def decide_form(M: Matrix, symmetry: str, setting: str,
     if not F.char_exceeds(n):
         raise SmallCharacteristic(
             f"need characteristic 0 or > {n}, have {F.characteristic}")
-    structure = ModuleStructure(M, seed, degree_limit)
+    structure = ModuleStructure(M, degree_limit)
     if setting == INVARIANT and not structure.invertible:
         raise Singular("invariant-form decision needs an invertible map")
     rule = DUALITY[setting]
@@ -129,26 +129,24 @@ def decide_form(M: Matrix, symmetry: str, setting: str,
 
 
 def decide_invariant_form(T: Matrix, symmetry: str, construct: bool = False,
-                          seed: int = 0,
                           degree_limit: int = DEFAULT_DEGREE_LIMIT
                           ) -> DecisionReport:
     """Does a T-invariant non-degenerate form of this symmetry exist?
 
     All violations are reported, not only the first.  With construct
     set, a verified witness certificate is attached to a positive
-    report; seed and degree_limit reach the factorizations of both.
+    report; degree_limit reaches the one factorization both share.
     """
-    return decide_form(T, symmetry, INVARIANT, construct, seed, degree_limit)
+    return decide_form(T, symmetry, INVARIANT, construct, degree_limit)
 
 
 def decide_infinitesimal_form(S: Matrix, symmetry: str,
-                              construct: bool = False, seed: int = 0,
+                              construct: bool = False,
                               degree_limit: int = DEFAULT_DEGREE_LIMIT
                               ) -> DecisionReport:
     """Does B with S^t B + B S = 0, non-degenerate, of this symmetry
     exist?  S may be singular."""
-    return decide_form(S, symmetry, INFINITESIMAL, construct, seed,
-                       degree_limit)
+    return decide_form(S, symmetry, INFINITESIMAL, construct, degree_limit)
 
 
 @dataclass(slots=True)
@@ -188,7 +186,7 @@ class RealityReport:
         return out
 
 
-def decide_real(T: Matrix, seed: int = 0,
+def decide_real(T: Matrix,
                 degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RealityReport:
     """T is real in GL(V) iff T and T^-1 share all elementary divisors.
 
@@ -199,7 +197,7 @@ def decide_real(T: Matrix, seed: int = 0,
     and paired divisors) and a part carrying a skew witness (even
     unipotent-type exponents).
     """
-    structure = ModuleStructure(T, seed, degree_limit)
+    structure = ModuleStructure(T, degree_limit)
     if not structure.invertible:
         raise Singular("reality concerns invertible maps")
     rule = DUALITY[INVARIANT]

@@ -97,16 +97,19 @@ class OrthogonalSummandReport:
 def _unipotent_type(T: Matrix):
     """(N, k, N^(k-1)) with N = T - I or -T - I nilpotent of level k: the
     minimal polynomial of T is (x - 1)^k or (x + 1)^k.
-    NotUnipotentType if it is neither."""
+    NotUnipotentType if it is neither.  The sign is settled first: when
+    -T - I is nilpotent, T - I = -2I + nilpotent is invertible in odd
+    characteristic, so only T - I can be nilpotent when it is singular."""
     ident = Matrix.identity(T.field, T.nrows)
-    for W in (T, -T):
-        N = W - ident
-        try:
-            return (N,) + _level(N, ident)
-        except NotUnipotent:
-            continue
-    raise NotUnipotentType(
-        "minimal polynomial is not a power of (x - 1) or (x + 1)")
+    N = T - ident
+    if not T.field.is_zero(N.det()):
+        N = -T - ident
+    try:
+        return (N,) + _level(N, ident)
+    except NotUnipotent:
+        raise NotUnipotentType(
+            "minimal polynomial is not a power of (x - 1) or (x + 1)"
+        ) from None
 
 
 def _level(N: Matrix, C: Matrix):

@@ -19,7 +19,7 @@ The two duality operators act on monic polynomials:
 and a polynomial is (additively) self-dual when it equals its own dual.
 
 Factorization is complete over both fields: squarefree splitting,
-distinct-degree splitting and seeded equal-degree splitting over F_p;
+distinct-degree splitting and equal-degree splitting over F_p;
 reduction mod a good prime, linear Hensel lifting and subset
 recombination over Q (degree capped, default 24).
 """
@@ -391,20 +391,22 @@ class Factorization:
         return len(self.factors)
 
 
-def factor(f: Poly, seed: int = 0,
+def factor(f: Poly,
            degree_limit: int = DEFAULT_DEGREE_LIMIT) -> Factorization:
     """Complete factorization into monic irreducibles over f's field.
 
-    The equal-degree splitting stage over F_p is randomized; the seed
-    makes it reproducible.  Over Q the degree of each Yun squarefree part
-    is capped (DegreeLimit), so a repeated factor counts once.
+    Over Q the degree of each Yun squarefree part is capped (DegreeLimit),
+    so a repeated factor counts once.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
+    # equal-degree splitting is Las Vegas: the generator changes only the
+    # path, and the sorted factorization is unique
+    rng = random.Random(0)
     if isinstance(f.field, PrimeField):
-        pairs = _factor_fp(f.monic(), random.Random(seed))
+        pairs = _factor_fp(f.monic(), rng)
     else:
-        pairs = _factor_q(f.monic(), random.Random(seed), degree_limit)
+        pairs = _factor_q(f.monic(), rng, degree_limit)
     pairs.sort(key=lambda t: t[0].sort_key())
     fac = Factorization(f.lc, tuple(pairs), f.field)
     assert fac.product() == f, "factorization failed to reconstruct input"

@@ -221,6 +221,9 @@ def _factoring(command, limit):
     (_factoring("infinitesimal", "-1"), 2, "InputError", "--degree-limit"),
     (_factoring("real", "0"), 2, "InputError", "--degree-limit"),
     (SELFTEST + ["--count", "x"], 2, "InputError", "--count"),
+    # factorization is deterministic, so the factoring commands take no seed
+    (_factoring("decide", "24") + ["--seed", "3"], 2, "InputError", "--seed"),
+    (_factoring("real", "24") + ["--seed", "3"], 2, "InputError", "--seed"),
 ])
 def test_bad_option_values(capsys, argv, code, kind, detail):
     got, out = run_json(capsys, argv)

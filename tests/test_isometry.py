@@ -57,6 +57,11 @@ def test_orthogonal_decomposition_rejects():
     cert = construct_invariant_form(T, SYMMETRIC)
     with pytest.raises(NotUnipotentType):
         orthogonal_decomposition(T, cert)
+    # T - I is singular, yet T is not unipotent
+    T = Matrix.diagonal(F101, [1, 2, 51])
+    cert = construct_invariant_form(T, SYMMETRIC)
+    with pytest.raises(NotUnipotentType):
+        orthogonal_decomposition(T, cert)
     J3 = Matrix.jordan_block(F101, 1, 3)
     with pytest.raises(UnverifiedForm):
         orthogonal_decomposition(J3, Matrix.identity(F101, 3))

@@ -60,10 +60,10 @@ def test_factor_reconstructs_random():
     rng = random.Random(7)
     for _ in range(200):
         f = rand_poly(F101, rng.randrange(1, 11), rng)
-        assert factor(f, seed=5).product() == f
+        assert factor(f).product() == f
     for _ in range(200):
         f = rand_poly(QQ, rng.randrange(1, 7), rng)
-        assert factor(f, seed=5).product() == f
+        assert factor(f).product() == f
 
 
 def test_factor_char2():
@@ -75,7 +75,7 @@ def test_factor_char2():
     rng = random.Random(9)
     for _ in range(100):
         f = rand_poly(F2, rng.randrange(1, 9), rng)
-        assert factor(f, seed=1).product() == f
+        assert factor(f).product() == f
 
 
 def test_factor_multiplicities_char_p():
@@ -112,7 +112,7 @@ def test_factor_matches_sympy():
                 (Poly(field, [Fraction(str(c)) for c in
                               reversed(g.all_coeffs())]).monic().coeffs, e)
                 for g, e in ref.factor_list()[1])
-            got = sorted((g.coeffs, e) for g, e in factor(f, seed=3))
+            got = sorted((g.coeffs, e) for g, e in factor(f))
             assert got == expected, f.to_str()
 
 
@@ -153,7 +153,7 @@ def test_factor_irreducibility_certificates():
     for field in (F101, QQ):
         for _ in range(25):
             f = rand_poly(field, rng.randrange(2, 7), rng)
-            for p, _ in factor(f, seed=2):
+            for p, _ in factor(f):
                 if 2 <= p.degree <= 3:
                     if isinstance(field, PrimeField):
                         assert all(not field.is_zero(p(a))
@@ -161,14 +161,14 @@ def test_factor_irreducibility_certificates():
                     else:
                         assert no_rational_root(p)
                 if p.degree > 1:
-                    refac = factor(p, seed=3)
+                    refac = factor(p)
                     assert len(refac) == 1 and refac.factors[0][1] == 1
 
 
 def test_factor_determinism():
     f = Poly.parse(F101, "x^6 - 1")
-    a = [(p.coeffs, e) for p, e in factor(f, seed=0)]
-    b = [(p.coeffs, e) for p, e in factor(f, seed=0)]
+    a = [(p.coeffs, e) for p, e in factor(f)]
+    b = [(p.coeffs, e) for p, e in factor(f)]
     assert a == b
 
 

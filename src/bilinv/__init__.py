@@ -22,8 +22,7 @@ from .fields import PrimeField, QQ, RationalField
 from .isometry import (LevelReport, OrthogonalSummandReport, level_analysis,
                        orthogonal_decomposition, witt_index)
 from .linalg import Matrix, char_poly
-from .oracle import (InvariantFormSpace, brute_force_reality,
-                     find_nondegenerate, solve_form_space)
+from .oracle import InvariantFormSpace, find_nondegenerate, solve_form_space
 from .poly import (Factorization, Poly, additive_dual_poly, dual_poly, factor,
                    is_additively_self_dual, is_self_dual, poly_gcd,
                    substitute_x_plus_inverse, substitute_x_squared)

@@ -23,8 +23,7 @@ from typing import Callable
 
 from .certificates import INFINITESIMAL, INVARIANT, SYMMETRIC
 from .errors import NotSquare
-from .linalg import (Matrix, _kernel, _rref, char_poly,
-                     eval_poly_at_matrix, restriction)
+from .linalg import Matrix, _kernel, _rref, char_poly, eval_poly_at_matrix
 from .poly import (DEFAULT_DEGREE_LIMIT, Poly, _axpy, _divmod, _scale,
                    additive_dual_poly, dual_poly, factor)
 
@@ -259,10 +258,10 @@ class ModuleStructure:
         N^(k+1) and the F[x]/(p)-lines v, Tv, ..., T^(deg p - 1) v of
         those already taken (the cyclic decomposition theorem, Hoffman &
         Kunze, Linear Algebra, 7.2); each is expanded to its power basis
-        under T.  The direct-sum property is verified exactly before
-        returning.  The summands come in the order of the factorization
-        (by degree, then coefficients of p) and by ascending k for each
-        p, and copy_index counts the copies of each p^k.
+        under T and checked invariant (N^k v = 0).  The direct-sum property
+        is verified exactly before returning.  The summands come in the
+        order of the factorization (by degree, then coefficients of p) and
+        by ascending k for each p; copy_index counts the copies of each p^k.
         """
         T = self.T
         F = T.field
@@ -289,14 +288,17 @@ class ModuleStructure:
                             if len(base) + i * d in pivots]
                 assert len(gens) == m, "generator count != multiplicity"
                 for i, v in enumerate(gens):
+                    # p^k is monic of degree dk, so T^(dk) v is in the span
+                    w = v
+                    for _ in range(k):
+                        w = N.apply(w)
+                    assert not any(w), "summand span not T-invariant"
                     summands.append(IndecomposableSummand(
                         p, k, i, krylov_basis(T, v, d * k)))
         if summands:
             whole = reduce(Matrix.hstack, [s.basis for s in summands])
             assert whole.ncols == n and whole.rank() == n, \
                 "summand bases do not assemble to a basis"
-            for s in summands:
-                restriction(T, s.basis)   # raises Singular unless invariant
         return summands
 
 

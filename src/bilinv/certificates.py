@@ -14,7 +14,7 @@ raises instead.
 
 from dataclasses import dataclass
 
-from .errors import UnverifiedForm
+from .errors import NotSquare, UnverifiedForm
 from .linalg import Matrix
 
 SYMMETRIC = "symmetric"
@@ -54,6 +54,8 @@ def check_invariance(M: Matrix, B: Matrix, setting: str) -> bool:
 
 
 def check_symmetry(B: Matrix, symmetry: str) -> bool:
+    if not B.is_square:
+        return False
     F = B.field
     n = B.nrows
     if symmetry == SYMMETRIC:
@@ -95,6 +97,8 @@ def verify_gram(M: Matrix, B: Matrix, symmetry: str, setting: str) -> dict:
     """The three certificate checks, recomputed from scratch."""
     require_kind(symmetry, setting)
     M.field.require_same(B.field)
+    if not (M.is_square and B.nrows == B.ncols == M.nrows):
+        raise NotSquare("map and Gram matrix are not both n x n")
     return {
         "invariance": check_invariance(M, B, setting),
         "symmetry_ok": check_symmetry(B, symmetry),

@@ -20,6 +20,9 @@ MAX_DIM = 6
 
 
 def random_invertible(field, n: int, rng: random.Random) -> Matrix:
+    """A random invertible n x n matrix over F_p; ValueError over Q."""
+    if not isinstance(field, PrimeField):
+        raise ValueError("random_invertible samples over F_p only")
     while True:
         M = Matrix(field, [[rng.randrange(field.p) for _ in range(n)]
                            for _ in range(n)], coerce=False)
@@ -159,38 +162,6 @@ def corpus(seed: int, count: int, kind: str,
         field = fields[i % len(fields)]
         out.append((field, sample_instance(field, rng, kind, max_dim)))
     return out
-
-
-def partitions(n: int):
-    """All partitions of n, largest part first, deterministic order."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(rest, maxpart, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(rest, maxpart), 0, -1):
-            acc.append(part)
-            rec(rest - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return out
-
-
-def unipotent_jordan_types(max_dim: int = MAX_DIM):
-    """All Jordan types (partitions) of unipotent maps with dim <= max_dim."""
-    out = []
-    for n in range(1, max_dim + 1):
-        out.extend(partitions(n))
-    return out
-
-
-def jordan_matrix(field, parts, eigenvalue=1) -> Matrix:
-    return Matrix.block_diagonal(
-        field, [Matrix.jordan_block(field, eigenvalue, k) for k in parts])
 
 
 def symmetric_admissible(parts) -> bool:

@@ -95,9 +95,4 @@ class RationalsUnsupported(BilinvError):
     """This analysis is only available over prime fields."""
 
 
-class GroupTooLarge(BilinvError):
-    """Exhaustive group search refused beyond the configured size."""
-
-
-CAPABILITY_ERRORS = (SmallCharacteristic, DegreeLimit, RationalsUnsupported,
-                     GroupTooLarge)
+CAPABILITY_ERRORS = (SmallCharacteristic, DegreeLimit, RationalsUnsupported)

@@ -410,11 +410,3 @@ def eval_poly_at_matrix(f: Poly, T: Matrix) -> Matrix:
     for c in reversed(f.coeffs[:-2]):
         acc = plus_scalar(acc * T, c)
     return acc
-
-
-def restriction(T: Matrix, basis_cols: Matrix) -> Matrix:
-    """Matrix of T on the invariant subspace spanned by the given columns.
-
-    Solves basis * X = T * basis; Singular if the span is not invariant.
-    """
-    return basis_cols.solve_right(T * basis_cols)

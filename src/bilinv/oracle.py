@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .certificates import INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC
-from .errors import GroupTooLarge, NotSquare, Singular
+from .errors import NotSquare, Singular
 from .fields import PrimeField
 from .linalg import Matrix
 
@@ -133,34 +133,3 @@ def find_nondegenerate(space: InvariantFormSpace, seed: int = 0,
             return B
     return None
 
-
-GROUP_SIZE_LIMIT = 10 ** 4
-
-
-def brute_force_reality(T: Matrix) -> bool:
-    """Exhaustively search g in GL(n, p) with g T g^-1 = T^-1.
-
-    Only for tiny groups (|GL(n, p)| at most 10^4); intended as ground
-    truth for the reality classifier.
-    """
-    F = T.field
-    if not isinstance(F, PrimeField):
-        raise GroupTooLarge("exhaustive search is limited to prime fields")
-    n = T.nrows
-    p = F.p
-    order = 1
-    for i in range(n):
-        order *= p ** n - p ** i
-    if order > GROUP_SIZE_LIMIT:
-        raise GroupTooLarge(f"|GL({n}, {p})| = {order} exceeds the limit")
-    if F.is_zero(T.det()):
-        raise Singular("reality concerns invertible maps")
-    Tinv = T.inverse()
-    for entries in product(range(p), repeat=n * n):
-        g = Matrix(F, [entries[i * n:(i + 1) * n] for i in range(n)],
-                   coerce=False)
-        if F.is_zero(g.det()):
-            continue
-        if g * T == Tinv * g:
-            return True
-    return False

@@ -232,13 +232,6 @@ class Poly:
             return Poly.zero(F)
         return Poly(F, _scale(self.coeffs, c, F.p), normalize=False)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs,
-                    normalize=False)
-
     def __divmod__(self, other):
         self._check(other)
         F = self.field
@@ -283,13 +276,6 @@ class Poly:
         return Poly(self.field,
                     [i * c for i, c in enumerate(self.coeffs[1:], 1)])
 
-    def compose(self, inner: "Poly") -> "Poly":
-        self._check(inner)
-        acc = Poly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(self.field, c)
-        return acc
-
     # --- text form --------------------------------------------------------
 
     def to_str(self) -> str:
@@ -329,25 +315,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic()
 
 
-def poly_xgcd(f: Poly, g: Poly):
-    """(d, u, v) with u*f + v*g = d, d the monic gcd."""
-    if f.field != g.field:
-        raise MixedFields("xgcd of polynomials over different fields")
-    F = f.field
-    r0, r1 = f, g
-    s0, s1 = Poly.one(F), Poly.zero(F)
-    t0, t1 = Poly.zero(F), Poly.one(F)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = F.inv(r0.lc)
-    return r0.scale(c), s0.scale(c), t0.scale(c)
-
-
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     """base**e reduced mod the given polynomial."""
     out = Poly.one(base.field)
@@ -358,14 +325,6 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
         base = base * base % mod
         e >>= 1
     return out
-
-
-def invert_mod(f: Poly, mod: Poly) -> Poly:
-    """Inverse of f in F[x]/(mod); requires gcd(f, mod) = 1."""
-    d, u, _ = poly_xgcd(f, mod)
-    if not d.is_one():
-        raise ZeroDivisionError(f"{f.to_str()} not invertible mod {mod.to_str()}")
-    return u % mod
 
 
 # --- factorization -------------------------------------------------------
@@ -592,7 +551,8 @@ def _hensel_lift(zc, modular, p, a):
     """Lift F = lc * prod(g_i) from mod p to mod p^a, linearly.
 
     The g_i stay monic integer polynomials; one correction per step with
-    the precomputed partial-product inverses.
+    the precomputed partial-product inverses, each u^(p^deg g_i - 2) in the
+    field F_p[x]/(g_i) of p^deg g_i elements (g_i is irreducible mod p).
     """
     Fp = PrimeField(p)
     lifted = [[int(c) for c in g.coeffs] for g in modular]
@@ -603,7 +563,7 @@ def _hensel_lift(zc, modular, p, a):
         for j, h in enumerate(gs):
             if j != i:
                 u = u * h % g
-        taus.append(invert_mod(u, g))
+        taus.append(pow_mod(u, p ** g.degree - 2, g))
     linv = pow(zc[-1] % p, p - 2, p)
     q = p
     for _ in range(a - 1):

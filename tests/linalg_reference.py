@@ -1,15 +1,28 @@
-"""Independent reference routes for the linear algebra tests: a cofactor
-determinant and the Faddeev-LeVerrier characteristic polynomial, written
-on the field's scalar methods only, so they share no code with the
-integer paths of `bilinv.linalg`; and the summand generators chosen in
-the coordinates of W = ker p(T)^e, with T restricted to W, against which
-the kernel chain that `ModuleStructure` runs on V is checked.
+"""Independent reference routes for the tests, none of which the library
+runs:
+
+- a cofactor determinant and the Faddeev-LeVerrier characteristic
+  polynomial, written on the field's scalar methods only, so they share
+  no code with the integer paths of `bilinv.linalg`;
+- `restriction`, the matrix of T on an invariant subspace by one linear
+  solve, and the summand generators chosen in the coordinates of
+  W = ker p(T)^e, with T restricted to W, against which the kernel chain
+  that `ModuleStructure` runs on V is checked;
+- `brute_force_reality`, an exhaustive search of GL(n, p) for a g with
+  g T g^-1 = T^-1, the ground truth for `decide_real` on tiny groups;
+- the unipotent Jordan types of small dimension (`partitions`,
+  `unipotent_jordan_types`) and their block-diagonal Jordan matrices.
 """
 
+from itertools import product
+
 from bilinv.canonical import krylov_basis
-from bilinv.errors import NotSquare
-from bilinv.linalg import Matrix, _rref, eval_poly_at_matrix, restriction
+from bilinv.errors import NotSquare, Singular
+from bilinv.fields import PrimeField
+from bilinv.linalg import Matrix, _rref, eval_poly_at_matrix
 from bilinv.poly import Poly
+
+GROUP_SIZE_LIMIT = 10 ** 4
 
 
 def det_cofactor(M: Matrix):
@@ -63,6 +76,14 @@ def char_poly_faddeev(T: Matrix) -> Poly:
     return Poly(F, list(reversed(coeffs)))
 
 
+def restriction(T: Matrix, basis_cols: Matrix) -> Matrix:
+    """Matrix of T on the invariant subspace spanned by the given columns.
+
+    Solves basis * X = T * basis; Singular if the span is not invariant.
+    """
+    return basis_cols.solve_right(T * basis_cols)
+
+
 def summand_bases_on_kernels(T: Matrix, factorization):
     """The bases of `ModuleStructure.summands`, in its order, with every
     generator chosen on W = ker p(T)^e: B the kernel basis of p(T)^(2^a),
@@ -98,3 +119,64 @@ def summand_bases_on_kernels(T: Matrix, factorization):
                        for v in gens)
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs, t[1]))
     return [basis for _, _, basis in out]
+
+
+def brute_force_reality(T: Matrix) -> bool:
+    """Exhaustively search g in GL(n, p) with g T g^-1 = T^-1.
+
+    Only for tiny groups: ValueError over Q or when |GL(n, p)| exceeds
+    GROUP_SIZE_LIMIT.
+    """
+    F = T.field
+    if not isinstance(F, PrimeField):
+        raise ValueError("exhaustive search is limited to prime fields")
+    n = T.nrows
+    p = F.p
+    order = 1
+    for i in range(n):
+        order *= p ** n - p ** i
+    if order > GROUP_SIZE_LIMIT:
+        raise ValueError(f"|GL({n}, {p})| = {order} exceeds the limit")
+    if F.is_zero(T.det()):
+        raise Singular("reality concerns invertible maps")
+    Tinv = T.inverse()
+    for entries in product(range(p), repeat=n * n):
+        g = Matrix(F, [entries[i * n:(i + 1) * n] for i in range(n)],
+                   coerce=False)
+        if F.is_zero(g.det()):
+            continue
+        if g * T == Tinv * g:
+            return True
+    return False
+
+
+def partitions(n: int):
+    """All partitions of n, largest part first, deterministic order."""
+    if n == 0:
+        return [()]
+    out = []
+
+    def rec(rest, maxpart, acc):
+        if rest == 0:
+            out.append(tuple(acc))
+            return
+        for part in range(min(rest, maxpart), 0, -1):
+            acc.append(part)
+            rec(rest - part, part, acc)
+            acc.pop()
+
+    rec(n, n, [])
+    return out
+
+
+def unipotent_jordan_types(max_dim: int):
+    """All Jordan types (partitions) of unipotent maps with dim <= max_dim."""
+    out = []
+    for n in range(1, max_dim + 1):
+        out.extend(partitions(n))
+    return out
+
+
+def jordan_matrix(field, parts, eigenvalue=1) -> Matrix:
+    return Matrix.block_diagonal(
+        field, [Matrix.jordan_block(field, eigenvalue, k) for k in parts])

@@ -8,10 +8,12 @@ from bilinv.canonical import (ModuleStructure, _char_matrix,
                               indecomposable_decomposition, invariant_factors,
                               min_poly, smith_normal_form)
 from bilinv.certificates import SYMMETRIC
+from bilinv.corpus import corpus
 from bilinv.decision import decide_invariant_form
 from bilinv.fields import PrimeField, QQ, RationalField
 from bilinv.linalg import Matrix, char_poly, eval_poly_at_matrix
 from bilinv.poly import Poly, dual_poly, factor
+from linalg_reference import restriction
 
 F101 = PrimeField(101)
 
@@ -265,3 +267,22 @@ def test_reassembly_to_block_form():
         expected = Matrix.block_diagonal(
             QQ, [Matrix.companion(s.p ** s.k) for s in summands])
         assert assembled == expected
+
+
+def test_summand_spans_are_invariant():
+    # `summands` checks N^k v = 0 for each generator v; the linear solve of
+    # the reference must then find T on each span, acting as the companion
+    # matrix of p^k
+    maps = [T for kind in ("invariant", "infinitesimal")
+            for _, T in corpus(29, 40, kind)]
+    rng = random.Random(31)
+    for blocks in ([("x^2-3*x+1", 1), ("x^2-3*x+1", 1), ("x-1", 1)],
+                   [("x^2+1", 2), ("x+1", 1), ("x-2", 1), ("x-1/2", 1)],
+                   [("x^2-3*x+1", 2), ("x-1", 3), ("x+1", 2)]):
+        T0 = Matrix.block_diagonal(QQ, [
+            Matrix.companion(Poly.parse(QQ, f) ** k) for f, k in blocks])
+        g = rand_invertible(QQ, T0.nrows, rng)
+        maps.append(g * T0 * g.inverse())
+    for T in maps:
+        for s in ModuleStructure(T).summands:
+            assert restriction(T, s.basis) == Matrix.companion(s.p ** s.k)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from bilinv.certificates import (INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC,
-                                 make_certificate, verify_gram)
+                                 check_symmetry, make_certificate,
+                                 symmetry_of, verify_gram)
 from bilinv.construction import (construct_infinitesimal_form,
                                  construct_invariant_form, convert_symmetry,
                                  hyperbolic_pairing, self_dual_block_form,
@@ -12,8 +13,9 @@ from bilinv.construction import (construct_infinitesimal_form,
 from bilinv.canonical import (DUALITY, indecomposable_decomposition,
                               natural_parity_ok)
 from bilinv.errors import (DecisionFalse, EigenvalueObstruction,
-                           NotDualPair, NotSelfDual, ParityViolation,
-                           SmallCharacteristic, UnverifiedForm)
+                           NotDualPair, NotSelfDual, NotSquare,
+                           ParityViolation, SmallCharacteristic,
+                           UnverifiedForm)
 from bilinv.fields import PrimeField, QQ
 from bilinv.linalg import Matrix
 from bilinv.poly import Poly, factor
@@ -221,3 +223,26 @@ def test_certificate_unconstructible_when_wrong():
     J2 = Matrix.jordan_block(QQ, 1, 2)
     with pytest.raises(UnverifiedForm):
         make_certificate(J2, Matrix.identity(QQ, 2), SYMMETRIC, INVARIANT)
+
+
+def test_verifier_rejects_wrong_shapes():
+    # a 1 x 2 "map", or a Gram of another size than the map, is refused
+    # before any check runs; a non-square Gram has no symmetry
+    row = Matrix(F101, [[1, 0]])
+    I2, I3 = Matrix.identity(F101, 2), Matrix.identity(F101, 3)
+    with pytest.raises(NotSquare):
+        verify_gram(row, Matrix.identity(F101, 1), SYMMETRIC, INVARIANT)
+    for setting in (INVARIANT, INFINITESIMAL):
+        with pytest.raises(NotSquare):
+            verify_gram(I2, I3, SYMMETRIC, setting)
+        with pytest.raises(NotSquare):
+            verify_gram(I3, I2, SYMMETRIC, setting)
+    with pytest.raises(NotSquare):
+        make_certificate(I2, I3, SYMMETRIC, INVARIANT)
+    with pytest.raises(NotSquare):
+        skew_symmetric_converter(Matrix(QQ, [[0, -1], [1, 0]]),
+                                 Matrix.identity(QQ, 3))
+    assert symmetry_of(row) is None
+    assert symmetry_of(Matrix(F101, [[0, 0]])) is None
+    assert not check_symmetry(row, SYMMETRIC)
+    assert not check_symmetry(Matrix(F101, [[0, 0]]), SKEW)

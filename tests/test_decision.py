@@ -15,8 +15,9 @@ from bilinv.decision import (BAD_UNIPOTENT_PARITY, ODD_DIMENSION_SKEW,
                              decide_invariant_form, decide_real)
 from bilinv.errors import SmallCharacteristic, Singular
 from bilinv.fields import PrimeField, QQ
-from bilinv.linalg import Matrix, restriction
+from bilinv.linalg import Matrix
 from bilinv.poly import Poly
+from linalg_reference import restriction
 
 F101 = PrimeField(101)
 

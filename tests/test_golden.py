@@ -21,12 +21,12 @@ from bilinv.certificates import SKEW, SYMMETRIC
 from bilinv.construction import (construct_infinitesimal_form,
                                  construct_invariant_form,
                                  unipotent_block_form)
-from bilinv.corpus import jordan_matrix
 from bilinv.fields import PrimeField, QQ
 from bilinv.isometry import orthogonal_decomposition
 from bilinv.linalg import Matrix
 from bilinv.oracle import find_nondegenerate, solve_form_space
 from bilinv.poly import Poly
+from linalg_reference import jordan_matrix
 
 
 def _blocks(field, spec):

@@ -5,9 +5,8 @@ import pytest
 
 from bilinv.certificates import SKEW, SYMMETRIC
 from bilinv.construction import construct_invariant_form
-from bilinv.corpus import (jordan_matrix, skew_admissible,
-                           symmetric_admissible, unipotent_jordan_types)
-from bilinv.errors import (Degenerate, NotUnipotentType,
+from bilinv.corpus import skew_admissible, symmetric_admissible
+from bilinv.errors import (Degenerate, NotSquare, NotUnipotentType,
                            RationalsUnsupported, SmallCharacteristic,
                            UnverifiedForm)
 from bilinv.fields import PrimeField, QQ
@@ -15,6 +14,7 @@ from bilinv.isometry import (EVEN_INDECOMPOSABLE, GENERAL_ODD,
                              ODD_INDECOMPOSABLE, STANDARD_PAIR, level_analysis,
                              orthogonal_decomposition, witt_index)
 from bilinv.linalg import Matrix
+from linalg_reference import jordan_matrix, unipotent_jordan_types
 
 F101 = PrimeField(101)
 
@@ -65,6 +65,11 @@ def test_orthogonal_decomposition_rejects():
     J3 = Matrix.jordan_block(F101, 1, 3)
     with pytest.raises(UnverifiedForm):
         orthogonal_decomposition(J3, Matrix.identity(F101, 3))
+    # a Gram of another size than the map
+    for analyze in (orthogonal_decomposition, level_analysis):
+        for m in (2, 4):
+            with pytest.raises(NotSquare):
+                analyze(J3, Matrix.identity(F101, m))
     # over F_2 the anisotropic-vector search has nothing to find
     F2 = PrimeField(2)
     with pytest.raises(SmallCharacteristic):

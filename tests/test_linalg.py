@@ -5,9 +5,9 @@ import pytest
 
 from bilinv.errors import NotSquare, Singular
 from bilinv.fields import PrimeField, QQ
-from bilinv.linalg import Matrix, char_poly, eval_poly_at_matrix, restriction
+from bilinv.linalg import Matrix, char_poly, eval_poly_at_matrix
 from bilinv.poly import Poly
-from linalg_reference import char_poly_faddeev, det_cofactor
+from linalg_reference import char_poly_faddeev, det_cofactor, restriction
 
 F101 = PrimeField(101)
 

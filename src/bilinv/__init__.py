@@ -24,7 +24,7 @@ from .isometry import (LevelReport, OrthogonalSummandReport, level_analysis,
 from .linalg import Matrix, char_poly
 from .oracle import InvariantFormSpace, find_nondegenerate, solve_form_space
 from .poly import (Factorization, Poly, additive_dual_poly, dual_poly, factor,
-                   is_additively_self_dual, is_self_dual, poly_gcd,
-                   substitute_x_plus_inverse, substitute_x_squared)
+                   is_self_dual, poly_gcd, substitute_x_plus_inverse,
+                   substitute_x_squared)
 
 __version__ = "0.1.0"

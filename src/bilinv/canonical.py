@@ -1,6 +1,6 @@
 """Module structure of a linear map: invariant factors, elementary
 divisors, indecomposable summands with explicit bases, and the duality
-rules that read form existence off the divisors.
+rules that read form existence off the divisors (`DualityRule.partner`).
 
 A `ModuleStructure` starts from the characteristic polynomial chi of T
 (`linalg.char_poly`) and factors it once.  For each p^e exactly dividing
@@ -357,11 +357,11 @@ PARITY_DETAIL = ("{label}^{k} needs exponent {need} or even multiplicity, "
 class DualityRule:
     """How one setting reads form existence off the elementary divisors.
 
-    A divisor p^k whose p is one of the special linear factors x - r
-    needs the exponent parity natural for the symmetry (k odd for
-    symmetric, k even for skew) or an even multiplicity; any other
-    divisor is self-dual under `dual` or meets its dual divisor at equal
-    multiplicity.  The obstruction kinds and details name what fails.
+    `partner` is the one place that decides how the copies of a divisor
+    p^k carry a form: each alone, in pairs of equal copies, or each with
+    a copy of the dual divisor.  The decision, the witness assembly and
+    the reality split all read it.  The obstruction kinds and details
+    name what fails.
     """
 
     setting: str
@@ -380,8 +380,20 @@ class DualityRule:
                     return r, label
         return None
 
-    def is_self_dual(self, p: Poly) -> bool:
-        return p == self.dual(p)
+    def partner(self, p: Poly, k: int, symmetry: str):
+        """The divisor key a copy of p^k pairs with under this symmetry.
+
+        None when each copy carries a form alone: p self-dual under
+        `dual`, and at a special factor x - r the exponent parity natural
+        for the symmetry (k odd for symmetric, k even for skew).
+        (p.coeffs, k) when equal copies pair: a special factor of the
+        other parity, so a form needs an even multiplicity.  Otherwise
+        (dual(p).coeffs, k): each copy pairs with a copy of the dual
+        divisor, which must occur at equal multiplicity."""
+        if self.special_factor(p) is not None:
+            return None if natural_parity_ok(k, symmetry) else (p.coeffs, k)
+        q = self.dual(p)
+        return None if q == p else (q.coeffs, k)
 
 
 DUALITY = {

@@ -261,52 +261,45 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="invariant-form existence")
     common(p, factoring=True, symmetry=True)
-    p.set_defaults(decide=decide_invariant_form, construct=False)
+    p.set_defaults(run=_cmd_form, decide=decide_invariant_form,
+                   construct=False)
     p = sub.add_parser("construct", help="existence plus a verified witness")
     common(p, factoring=True, symmetry=True)
-    p.set_defaults(decide=decide_invariant_form, construct=True)
+    p.set_defaults(run=_cmd_form, decide=decide_invariant_form,
+                   construct=True)
     p = sub.add_parser("infinitesimal",
                        help="infinitesimally invariant form existence")
     common(p, factoring=True, symmetry=True)
     p.add_argument("--construct", action="store_true")
-    p.set_defaults(decide=decide_infinitesimal_form)
-    common(sub.add_parser("verify", help="re-check a provided witness"),
-           symmetry=True, setting=True)
-    common(sub.add_parser("real", help="conjugacy to the inverse"),
-           factoring=True)
+    p.set_defaults(run=_cmd_form, decide=decide_infinitesimal_form)
+    p = sub.add_parser("verify", help="re-check a provided witness")
+    common(p, symmetry=True, setting=True)
+    p.set_defaults(run=_cmd_verify)
+    p = sub.add_parser("real", help="conjugacy to the inverse")
+    common(p, factoring=True)
+    p.set_defaults(run=_cmd_real)
     p = sub.add_parser("decompose",
                        help="orthogonal decomposition (needs gram)")
     common(p)
-    p.set_defaults(analyze=orthogonal_decomposition)
+    p.set_defaults(run=_cmd_isometry, analyze=orthogonal_decomposition)
     p = sub.add_parser("level", help="unipotent level bounds (needs gram)")
     common(p)
-    p.set_defaults(analyze=level_analysis)
+    p.set_defaults(run=_cmd_isometry, analyze=level_analysis)
     p = sub.add_parser("oracle", help="solve the invariance equations")
+    p.set_defaults(run=_cmd_oracle)
     p.add_argument("instance")
     p.add_argument("--symmetry", choices=(SYMMETRIC, SKEW), required=True)
     p.add_argument("--setting", choices=SETTINGS, default=INVARIANT)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p = sub.add_parser("selftest", help="run the seeded agreement corpus")
+    p.set_defaults(run=_cmd_selftest)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--max-dim", type=int, default=6)
     p.add_argument("--fields", default=",".join(str(p) for p in DEFAULT_FIELDS))
     return parser
-
-
-_COMMANDS = {
-    "decide": _cmd_form,
-    "construct": _cmd_form,
-    "infinitesimal": _cmd_form,
-    "verify": _cmd_verify,
-    "real": _cmd_real,
-    "decompose": _cmd_isometry,
-    "level": _cmd_isometry,
-    "oracle": _cmd_oracle,
-    "selftest": _cmd_selftest,
-}
 
 
 def run(argv) -> int:
@@ -317,7 +310,7 @@ def run(argv) -> int:
     except SystemExit as exc:     # --help
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except BilinvError as exc:
         return _error_exit(exc)
     except Exception as exc:

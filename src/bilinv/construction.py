@@ -2,10 +2,12 @@
 
 The construction follows the indecomposable decomposition of the map,
 read from the same `ModuleStructure` the decision used, and the
-duality rule of its setting (`canonical.DUALITY`).  A cyclic summand
-with divisor f = p^k is the ring F[x]/(f) in its power basis, x^i <->
-T^i v.  One functional builds every block: lambda0, the coefficient of
-x^(N-1) (N = deg f), which is nonzero on the simple socle of F[x]/(f).
+duality rule of its setting (`canonical.DUALITY`): `DualityRule.partner`,
+the one place that decides the pairing, picks each divisor's route below.
+A cyclic summand with divisor f = p^k is the ring F[x]/(f) in its power
+basis, x^i <-> T^i v.  One functional builds every block: lambda0, the
+coefficient of x^(N-1) (N = deg f), which is nonzero on the simple socle
+of F[x]/(f).
 With sigma the involution x -> 1/x (invariant setting) or x -> -x
 (infinitesimal setting):
 
@@ -97,7 +99,7 @@ def self_dual_block_form(p: Poly, d: int, symmetry: str,
     form of this symmetry exists on the block (UnverifiedForm).
     """
     F = p.field
-    if not DUALITY[setting].is_self_dual(p):
+    if p != DUALITY[setting].dual(p):
         raise NotSelfDual(f"{p.to_str()} is not self-dual in the {setting} "
                           f"setting")
     f = p ** d
@@ -215,38 +217,28 @@ def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
         groups.setdefault(s.divisor_key(), []).append(s)
     blocks = []
     provenance = []
-    consumed = set()
-    for key in groups:
+    consumed = set()                  # partner keys already paired
+    for key, copies in groups.items():
         if key in consumed:
             continue
-        consumed.add(key)
-        copies = groups[key]
         p, k = copies[0].p, copies[0].k
         label = f"({p.to_str()})^{k}" if k > 1 else f"({p.to_str()})"
-        special = rule.special_factor(p)
-        if (natural_parity_ok(k, symmetry) if special is not None
-                else rule.is_self_dual(p)):
+        partner = rule.partner(p, k, symmetry)
+        if partner is None:
             gram = self_dual_block_form(p, k, symmetry, setting)
-            route = ("trace-form" if special is None
+            route = ("trace-form" if rule.special_factor(p) is None
                      else "unipotent-block" if setting == INVARIANT
                      else "nilpotent-block")
             for s in copies:
                 blocks.append((s.basis, gram))
                 provenance.append(f"{label}#{s.copy_index}:{route}")
             continue
-        if special is not None:
-            assert len(copies) % 2 == 0, \
-                "odd multiplicity survived a positive decision"
+        consumed.add(partner)
+        if partner == key:
             pairs = zip(copies[0::2], copies[1::2])
             link, route = "+#", "standard-pair"
         else:
-            partner_key = (rule.dual(p).coeffs, k)
-            partner = groups.get(partner_key)
-            if partner is None or len(partner) != len(copies):
-                raise NotDualPair(f"divisor {label} lacks a dual partner at "
-                                  f"equal multiplicity")
-            consumed.add(partner_key)
-            pairs = zip(copies, partner)
+            pairs = zip(copies, groups.get(partner, []))
             link, route = "<->dual#", "hyperbolic-pair"
         for a, b in pairs:
             blocks.append(hyperbolic_pairing(M, a, b, symmetry, setting))
@@ -254,6 +246,8 @@ def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
                 f"{label}#{a.copy_index}{link}{b.copy_index}:{route}")
     C = reduce(Matrix.hstack, [cols for cols, _ in blocks],
                Matrix.zeros(F, M.nrows, 0))
+    # a positive decision leaves no copy without its partner
+    assert C.ncols == M.nrows, "a divisor copy was left unpaired"
     B_union = Matrix.block_diagonal(F, [gram for _, gram in blocks])
     Cinv = C.inverse()
     B = _share_transpose(Cinv.transpose() * B_union * Cinv, symmetry)

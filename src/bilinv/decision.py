@@ -16,7 +16,10 @@ plus an even ambient dimension in the skew case.  Infinitesimally the
 same shape applies with additive duals, x^k playing the unipotent role.
 Both settings run one rule, `decide_form`, over the duality table
 `canonical.DUALITY`, whose two entries name the special linear factors,
-the dual operator and the obstructions of each setting.
+the dual operator and the obstructions of each setting.  Which copies of
+a divisor pair, and with what, is decided in one place,
+`DualityRule.partner`, which the witness assembly and the reality split
+read as well.
 
 Reality of T in the general linear group is divisor-multiset equality of
 T and T^-1, and the divisors of T^-1 are the duals p*^k of those of T;
@@ -27,8 +30,7 @@ along their indecomposable summands.
 from dataclasses import dataclass, field as dc_field
 
 from .canonical import (DUALITY, ODD_DIMENSION_SKEW, PARITY_DETAIL,
-                        ElementaryDivisor, ModuleStructure, divisor_multiset,
-                        natural_parity_ok)
+                        ElementaryDivisor, ModuleStructure, divisor_multiset)
 # the other obstruction kinds, re-exported beside the reports that use them
 from .canonical import (BAD_NILPOTENT_PARITY, BAD_UNIPOTENT_PARITY,  # noqa: F401
                         UNPAIRED_ADDITIVE_DUAL, UNPAIRED_DUAL)
@@ -102,19 +104,18 @@ def decide_form(M: Matrix, symmetry: str, setting: str,
             ODD_DIMENSION_SKEW, divisors[0],
             f"ambient dimension {n} is odd"))
     for d in divisors:
-        special = rule.special_factor(d.p)
-        if special is not None:
-            if not natural_parity_ok(d.k, symmetry) and \
-                    d.multiplicity % 2 == 1:
+        key = rule.partner(d.p, d.k, symmetry)
+        if key is None:
+            continue
+        if key == (d.p.coeffs, d.k):
+            if d.multiplicity % 2 == 1:
                 obstructions.append(ObstructionRecord(
                     rule.parity_kind, d, PARITY_DETAIL.format(
-                        label=special[1], k=d.k,
+                        label=rule.special_factor(d.p)[1], k=d.k,
                         need="odd" if symmetry == SYMMETRIC else "even",
                         multiplicity=d.multiplicity)))
             continue
-        if rule.is_self_dual(d.p):
-            continue
-        dual_mult = have.get((rule.dual(d.p).coeffs, d.k), 0)
+        dual_mult = have.get(key, 0)
         if dual_mult != d.multiplicity:
             obstructions.append(ObstructionRecord(
                 rule.unpaired_kind, d, rule.unpaired_detail.format(
@@ -156,7 +157,7 @@ class RealityReport:
     `OrthogonalSummand` does."""
 
     is_real: bool
-    mismatches: list                    # (divisor of T, divisor of T^-1 | None)
+    mismatches: list                    # (divisor of T, multiplicity in T^-1)
     parts: tuple = None                 # (vectors_1, vectors_2) or None
     divisors: list = dc_field(default_factory=list)
 
@@ -172,8 +173,7 @@ class RealityReport:
             "is_real": self.is_real,
             "mismatches": [
                 {"divisor": d.label(), "multiplicity": d.multiplicity,
-                 "inverse_multiplicity":
-                     (m.multiplicity if m is not None else 0)}
+                 "inverse_multiplicity": m}
                 for d, m in self.mismatches],
         }
         if self.parts is not None:
@@ -191,31 +191,31 @@ def decide_real(T: Matrix,
     """T is real in GL(V) iff T and T^-1 share all elementary divisors.
 
     The divisors of T^-1 are the duals p*^k of the divisors p^k of T, so
-    one ModuleStructure of T answers the question.  When T is real and
-    the characteristic allows it, the summands are grouped into a part
-    carrying a symmetric witness (odd unipotent-type exponents, self-dual
-    and paired divisors) and a part carrying a skew witness (even
-    unipotent-type exponents).
+    one ModuleStructure of T answers the question: p^k occurs in T^-1 as
+    often as p*^k does in T.  When T is real and the characteristic
+    allows it, the summands are split into the two parts along which a
+    symmetric and a skew witness exist: a summand goes to the skew part
+    iff its copies pair among themselves under the symmetric rule
+    (`DualityRule.partner`), that is an even (x -+ 1)^k exponent.  Only
+    the bases are returned; no Gram is attached to either part yet.
     """
     structure = ModuleStructure(T, degree_limit)
     if not structure.invertible:
         raise Singular("reality concerns invertible maps")
     rule = DUALITY[INVARIANT]
     div_T = structure.elementary_divisors
-    inv_index = {(rule.dual(d.p).coeffs, d.k):
-                 ElementaryDivisor(rule.dual(d.p), d.k, d.multiplicity)
-                 for d in div_T}
+    have = divisor_multiset(div_T)
     mismatches = []
     for d in div_T:
-        other = inv_index.get((d.p.coeffs, d.k))
-        if other is None or other.multiplicity != d.multiplicity:
-            mismatches.append((d, other))
+        inverse_mult = have.get((rule.dual(d.p).coeffs, d.k), 0)
+        if inverse_mult != d.multiplicity:
+            mismatches.append((d, inverse_mult))
     report = RealityReport(not mismatches, mismatches, divisors=div_T)
     F = T.field
     if report.is_real and F.char_exceeds(T.nrows):
         sym_rows, skew_rows = [], []
         for s in structure.summands:
-            if rule.special_factor(s.p) is not None and s.k % 2 == 0:
+            if rule.partner(s.p, s.k, SYMMETRIC) == s.divisor_key():
                 skew_rows.extend(s.basis.cols())
             else:
                 sym_rows.extend(s.basis.cols())

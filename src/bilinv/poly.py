@@ -666,10 +666,6 @@ def is_self_dual(f: Poly) -> bool:
     return f == dual_poly(f)
 
 
-def is_additively_self_dual(f: Poly) -> bool:
-    return f == additive_dual_poly(f)
-
-
 def substitute_x_plus_inverse(p: Poly) -> Poly:
     """For self-dual monic p of degree 2m return q with x^-m p(x) = q(x + 1/x).
 

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from bilinv.canonical import (ModuleStructure, _char_matrix,
+from bilinv.canonical import (DUALITY, ModuleStructure, _char_matrix,
                               elementary_divisors, divisor_multiset,
                               indecomposable_decomposition, invariant_factors,
                               min_poly, smith_normal_form)
-from bilinv.certificates import SYMMETRIC
+from bilinv.certificates import INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC
 from bilinv.corpus import corpus
 from bilinv.decision import decide_invariant_form
 from bilinv.fields import PrimeField, QQ, RationalField
@@ -234,6 +234,41 @@ def test_inverse_divisors_are_duals():
             duals = {(dual_poly(d.p).coeffs, d.k): d.multiplicity
                      for d in elementary_divisors(T)}
             assert divisor_multiset(elementary_divisors(T.inverse())) == duals
+
+
+# setting -> [(p, exponents k, pairing of p^k for symmetric, for skew)],
+# a pairing being None (each copy carries a form alone), "equal" (equal
+# copies pair) or the dual divisor's p.  Infinitesimally x -+ 1 are not
+# special: each is the other's additive dual.
+PARTNERS = {
+    INVARIANT: [
+        ("x-1", (1, 3), None, "equal"), ("x-1", (2,), "equal", None),
+        ("x+1", (1, 3), None, "equal"), ("x+1", (2,), "equal", None),
+        ("x^2+x+1", (1, 2), None, None),
+        ("x-2", (1, 2), "x-1/2", "x-1/2"),
+    ],
+    INFINITESIMAL: [
+        ("x", (1,), None, "equal"), ("x", (2,), "equal", None),
+        ("x-1", (1, 2, 3), "x+1", "x+1"), ("x+1", (1, 2, 3), "x-1", "x-1"),
+        ("x^2+2", (1, 2), None, None),
+        ("x-2", (1, 2), "x+2", "x+2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F_101", "Q"])
+def test_partner_table(field):
+    for setting, rows in PARTNERS.items():
+        rule = DUALITY[setting]
+        for text, ks, *pairings in rows:
+            p = Poly.parse(field, text)
+            for k in ks:
+                for symmetry, pairing in zip((SYMMETRIC, SKEW), pairings):
+                    want = (None if pairing is None
+                            else (p.coeffs, k) if pairing == "equal"
+                            else (Poly.parse(field, pairing).coeffs, k))
+                    assert rule.partner(p, k, symmetry) == want, \
+                        (setting, text, k, symmetry)
 
 
 def test_indecomposable_examples():

@@ -1,7 +1,8 @@
 """Golden outputs: sha256 digests of the canonical JSON of the Smith
 diagonal of xI - T and of the constructed certificate, on seeded
-instances over F_101, F_257 and Q, and of the orthogonal decomposition
-of seeded unipotent-type isometries over F_7, F_101 and Q.
+instances over F_101, F_257 and Q, of the decision and reality reports
+of seeded instances over the same fields, and of the orthogonal
+decomposition of seeded unipotent-type isometries over F_7, F_101 and Q.
 
 The digests pin the exact output, not just its correctness: a kernel
 rewrite that keeps the pivot order, the row and column operations and
@@ -17,10 +18,15 @@ from fractions import Fraction
 import pytest
 
 from bilinv.canonical import _char_matrix, smith_normal_form
-from bilinv.certificates import SKEW, SYMMETRIC
+from bilinv.certificates import INFINITESIMAL, INVARIANT, SKEW, SYMMETRIC
 from bilinv.construction import (construct_infinitesimal_form,
                                  construct_invariant_form,
                                  unipotent_block_form)
+from bilinv.decision import (BAD_NILPOTENT_PARITY, BAD_UNIPOTENT_PARITY,
+                             ODD_DIMENSION_SKEW, UNPAIRED_ADDITIVE_DUAL,
+                             UNPAIRED_DUAL, DecisionReport,
+                             decide_infinitesimal_form, decide_invariant_form,
+                             decide_real)
 from bilinv.fields import PrimeField, QQ
 from bilinv.isometry import orthogonal_decomposition
 from bilinv.linalg import Matrix
@@ -157,6 +163,123 @@ def test_golden_outputs(name):
     assert golden_digests(name) == GOLDEN[name]
 
 
+# name -> (field, blocks, conjugation seed, setting).  Each instance is
+# decided for both symmetries with a witness constructed, and an
+# invariant-setting instance is also classified for reality.  Together
+# they reach every obstruction kind (a parity and an unpaired obstruction
+# in one report among them), standard and hyperbolic pairs in the
+# provenance, a map that is not real and a real map whose symmetric and
+# skew parts are both non-empty.
+DECISIONS = {
+    "fp101-invariant-obstructed": (
+        PrimeField(101), [("J", 1, 2), ("J", 2, 1)], 41, INVARIANT),
+    "fp101-infinitesimal-obstructed": (
+        PrimeField(101), [("J", 0, 2), ("J", 3, 1)], 42, INFINITESIMAL),
+    "fp257-invariant-pairs": (
+        PrimeField(257),
+        [("J", 1, 2), ("J", 1, 2), ("J", 3, 1), ("J", 86, 1),
+         ("C", "x^2+1")], 43, INVARIANT),
+    "q-invariant-pairs": (
+        QQ,
+        [("J", -1, 1), ("J", -1, 1), ("C", "x^2-3*x+1"), ("J", 2, 1),
+         ("J", "1/2", 1)], 44, INVARIANT),
+    "q-infinitesimal-pairs": (
+        QQ,
+        [("J", 0, 1), ("J", 0, 1), ("J", 2, 1), ("J", -2, 1),
+         ("C", "x^2+1")], 45, INFINITESIMAL),
+    "fp101-not-real": (
+        PrimeField(101),
+        [("J", 2, 1), ("J", 2, 2), ("J", 1, 1), ("J", 3, 1), ("J", 34, 1)],
+        46, INVARIANT),
+    "fp101-real-split": (
+        PrimeField(101),
+        [("J", 1, 2), ("J", 1, 1), ("J", -1, 3), ("C", "x^2+1"),
+         ("J", 2, 1), ("J", 51, 1)], 47, INVARIANT),
+    "q-real-split": (
+        QQ, [("J", 1, 2), ("J", -1, 2), ("J", 2, 1), ("J", "1/2", 1)],
+        48, INVARIANT),
+}
+
+# sha256 of the to_json() of the symmetric and the skew decision report
+# (witness included) and, for the invariant setting, of the reality
+# report, computed before the pairing rule moved into one method
+GOLDEN_DECISIONS = {
+    "fp101-infinitesimal-obstructed": (
+        "5c3caff0db39cd1e90a6ad7d0197ae5e336264ea02b4af5ebc7b0f2248f8dce9",
+        "29e44e2181ea6cfce749004dfda8747474da250a9aef5c2adf70de75fda29b79",
+    ),
+    "fp101-invariant-obstructed": (
+        "a6dbe772d5de9d9bb2d946613dea2cccbefd69001fdce50c35e350448f58e579",
+        "7694b527171a91a639701f569862a662e1a1e596ec3d6514aa81ba7c37ec0ec9",
+        "0d7a8eb5fb1f5115cecb2a5ffc3d26505a2b717cc03be1834b9b07a11d3fff4e",
+    ),
+    "fp101-not-real": (
+        "64b962b9795c4980fb082d10118ae8e82a709716d90dbef444eaba56ef956b87",
+        "cc5f65038765693604f05ee172872fb4d4ecac4408a25e43a0d196bbab7fa6fa",
+        "d2b4c03afc3733c452114d39bdb07de57ac19e655b3062fdbd87b3c36dc32e8c",
+    ),
+    "fp101-real-split": (
+        "14c6936b2aebee99a38c8299b658037e43f59e62e04ff1101328762e76b322d2",
+        "3b593dd789fd3463fa3a03062ac5948700cafd405eac3d0060a552a116011e41",
+        "81fc1393bf8c8c9ca62c30c2fe16b37b000164666ce1ac61cd5f91d123ef625b",
+    ),
+    "fp257-invariant-pairs": (
+        "c3192755332e5552ae415605d484931120a5c0b1feba74cca610aa1100029c64",
+        "6e3c8e74ce6a70e3c994679b90014641b6fc348e824635b17d676e960f94201f",
+        "6641da8361c1daad0803acc296156c424355958990cf18355fca628735d0b5c9",
+    ),
+    "q-infinitesimal-pairs": (
+        "8f68d8bddaa29cbbe941084420bceb89d4f85ed4d77351d8ae1117eb0af89d0b",
+        "967b41a695d39cdae77326b5554e8d64b1c6d821bbc6d054d81fe0781f1c188f",
+    ),
+    "q-invariant-pairs": (
+        "961c1b1b13ca5528bf456c73abe95d4c00f5db8a1d47ad6768c4a99f8ccd35a1",
+        "92c232e0f8eeb66e65a9d2e433fe747c93ac1100d9d7c4c8be46fbfe8a81c7d8",
+        "d3b5f589cca78157773ba9c952c2a2986928a112a4e1847a0bac1ee3fb5964b5",
+    ),
+    "q-real-split": (
+        "daa36b04ad25c9275c24df757e4bee660c19e9f1e7b387709d883cbb1fc85f4b",
+        "25d7484a2c71c52ce5417dea69168c0aac8ae3870feb0519836f63a8374f5608",
+        "0b82168b6b65f07e1443c8110cc259eb72a97093003a257bba3e57f1ddc269f5",
+    ),
+}
+
+
+def decision_reports(name):
+    field, spec, seed, setting = DECISIONS[name]
+    T = _conjugate(field, _blocks(field, spec), seed)
+    decide = (decide_invariant_form if setting == INVARIANT
+              else decide_infinitesimal_form)
+    reports = [decide(T, symmetry, construct=True)
+               for symmetry in (SYMMETRIC, SKEW)]
+    if setting == INVARIANT:
+        reports.append(decide_real(T))
+    return reports
+
+
+@pytest.mark.parametrize("name", sorted(DECISIONS))
+def test_golden_decisions(name):
+    assert tuple(_digest(r.to_json()) for r in decision_reports(name)) == \
+        GOLDEN_DECISIONS[name]
+
+
+def test_golden_decisions_reach_every_case():
+    reports = [r for name in DECISIONS for r in decision_reports(name)]
+    decisions = [r for r in reports if isinstance(r, DecisionReport)]
+    kinds = [{o.kind for o in r.obstructions} for r in decisions]
+    assert set().union(*kinds) == {
+        BAD_UNIPOTENT_PARITY, BAD_NILPOTENT_PARITY, ODD_DIMENSION_SKEW,
+        UNPAIRED_DUAL, UNPAIRED_ADDITIVE_DUAL}
+    assert any({BAD_UNIPOTENT_PARITY, UNPAIRED_DUAL} <= k for k in kinds)
+    routes = {entry.rsplit(":", 1)[1] for r in decisions if r.exists
+              for entry in r.witness.provenance}
+    assert {"standard-pair", "hyperbolic-pair"} <= routes
+    reality = [r for r in reports if not isinstance(r, DecisionReport)]
+    assert any(not r.is_real and r.mismatches for r in reality)
+    assert any(r.is_real and min(v.nrows for v in r.parts) > 0
+               for r in reality)
+
+
 # name -> (field, Jordan type, eigenvalue, conjugation seed, symmetry,
 # Gram source).  Every peel path is covered: both signs of the eigenvalue,
 # both symmetries, anisotropic chains found on a column and on a sum of
@@ -288,5 +411,8 @@ def test_q10_witness_entries_stay_small(name):
 if __name__ == "__main__":
     for name in sorted(INSTANCES):
         print(f"    {name!r}: {golden_digests(name)!r},")
+    for name in sorted(DECISIONS):
+        digests = tuple(_digest(r.to_json()) for r in decision_reports(name))
+        print(f"    {name!r}: {digests!r},")
     for name in sorted(DECOMPOSITIONS):
         print(f"    {name!r}: {decomposition_digest(name)!r},")

@@ -7,8 +7,8 @@ from bilinv.errors import (DegreeLimit, NotEvenPolynomial, NotSelfDual,
                            OddDegree, ZeroConstantTerm)
 from bilinv.fields import PrimeField, QQ
 from bilinv.poly import (Poly, additive_dual_poly, dual_poly, factor,
-                         is_additively_self_dual, is_self_dual, poly_gcd,
-                         substitute_x_plus_inverse, substitute_x_squared)
+                         is_self_dual, poly_gcd, substitute_x_plus_inverse,
+                         substitute_x_squared)
 
 F101 = PrimeField(101)
 
@@ -174,8 +174,9 @@ def test_additive_dual_examples():
     assert additive_dual_poly(Poly.parse(QQ, "x^2+x+1")) == \
         Poly.parse(QQ, "x^2-x+1")
     assert additive_dual_poly(Poly.parse(QQ, "x-3")) == Poly.parse(QQ, "x+3")
-    assert is_additively_self_dual(Poly.parse(QQ, "x^2+1"))
-    assert not is_additively_self_dual(Poly.parse(QQ, "x-2"))
+    f, g = Poly.parse(QQ, "x^2+1"), Poly.parse(QQ, "x-2")
+    assert additive_dual_poly(f) == f
+    assert additive_dual_poly(g) != g
 
 
 def test_duals_are_involutions():

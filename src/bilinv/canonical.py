@@ -67,8 +67,9 @@ def smith_normal_form(A):
             # a pass that is not clean leaves a remainder shorter than its
             # pivot, and a culprit fix-up is followed by such a pass, so the
             # pivot shrinks at least once every two passes
-            assert older is None or best[0] < older, \
-                "Smith pivot loop made no progress in two passes"
+            if older is not None and best[0] >= older:
+                raise AssertionError(
+                    "Smith pivot loop made no progress in two passes")
             older, last = last, best[0]
             _, bi, bj = best
             if bi != t:
@@ -246,7 +247,8 @@ class ModuleStructure:
         divisors = [ElementaryDivisor(p, k, m) for p, e in self.factorization
                     for k, m in self._counts(p, e).items()]
         divisors.sort(key=ElementaryDivisor.sort_key)
-        assert sum(d.dim for d in divisors) == self.T.nrows
+        if sum(d.dim for d in divisors) != self.T.nrows:
+            raise AssertionError("divisor degrees do not sum to n")
         return divisors
 
     @cached_property
@@ -286,19 +288,22 @@ class ModuleStructure:
                     pivots = set(_rref(Matrix.from_cols(F, base + lines))[1])
                     gens = [v for i, v in enumerate(K[k])
                             if len(base) + i * d in pivots]
-                assert len(gens) == m, "generator count != multiplicity"
+                if len(gens) != m:
+                    raise AssertionError("generator count != multiplicity")
                 for i, v in enumerate(gens):
                     # p^k is monic of degree dk, so T^(dk) v is in the span
                     w = v
                     for _ in range(k):
                         w = N.apply(w)
-                    assert not any(w), "summand span not T-invariant"
+                    if any(w):
+                        raise AssertionError("summand span not T-invariant")
                     summands.append(IndecomposableSummand(
                         p, k, i, krylov_basis(T, v, d * k)))
         if summands:
             whole = reduce(Matrix.hstack, [s.basis for s in summands])
-            assert whole.ncols == n and whole.rank() == n, \
-                "summand bases do not assemble to a basis"
+            if whole.ncols != n or whole.rank() != n:
+                raise AssertionError(
+                    "summand bases do not assemble to a basis")
         return summands
 
 

@@ -7,9 +7,11 @@ Instance file schema:
      "gram":   optional, same shape}
 
 decide, construct, infinitesimal and real take --degree-limit (the
-degree cap of factorization over Q, at least 1); verify, decompose and
-level factor nothing and do not take it.  Only oracle and selftest take
---seed: it seeds the oracle's random search and the selftest corpus.
+degree cap of factorization over Q, at least 1).  verify factors
+nothing, and decompose and level factor only (x -+ 1)^n, whose
+squarefree part is linear, so none of the three takes it.  Only oracle
+and selftest take --seed: it seeds the oracle's random search and the
+selftest corpus.
 
 Exit codes: 0 computed (even when the answer is "no form exists"),
 1 verification failure, 2 input error, 3 capability error (degree limit,

@@ -40,7 +40,7 @@ from .errors import (DecisionFalse, EigenvalueObstruction, NotDualPair,
                      SmallCharacteristic, UnverifiedForm)
 from .fields import Field
 from .linalg import Matrix
-from .poly import DEFAULT_DEGREE_LIMIT, Poly
+from .poly import DEFAULT_DEGREE_LIMIT, Poly, factor
 
 
 # --- the socle functional --------------------------------------------------------
@@ -87,6 +87,25 @@ def self_dual_block_form(p: Poly, d: int, symmetry: str,
     (additively self-dual, infinitesimally) irreducible p, as a Gram in
     the power basis x^i: the standard basis of the companion of p^d.
 
+    p is checked in this order: monic and irreducible (ValueError), then
+    self-dual (NotSelfDual; x is not, in the invariant setting).  See
+    `_self_dual_gram` for the construction."""
+    if not p.is_monic():
+        raise ValueError(f"self_dual_block_form needs a monic p, got "
+                         f"{p.to_str()}")
+    if list(factor(p)) != [(p, 1)]:
+        raise ValueError(f"self_dual_block_form needs an irreducible p, got "
+                         f"{p.to_str()}")
+    if (setting == INVARIANT and p.field.is_zero(p.constant_term())
+            or p != DUALITY[setting].dual(p)):
+        raise NotSelfDual(f"{p.to_str()} is not self-dual in the {setting} "
+                          f"setting")
+    return _self_dual_gram(p, d, symmetry, setting)
+
+
+def _self_dual_gram(p: Poly, d: int, symmetry: str, setting: str) -> Matrix:
+    """The `self_dual_block_form` of a monic, irreducible, self-dual p.
+
     B(a, b) = lambda_k(a sigma(b)) for the first k < N = deg p^d whose
     Gram is non-degenerate, lambda_k being lambda0(x^k .) made
     eps-hermitian, eps = 1 (symmetric) or -1 (skew).  As sigma is an
@@ -99,9 +118,6 @@ def self_dual_block_form(p: Poly, d: int, symmetry: str,
     form of this symmetry exists on the block (UnverifiedForm).
     """
     F = p.field
-    if p != DUALITY[setting].dual(p):
-        raise NotSelfDual(f"{p.to_str()} is not self-dual in the {setting} "
-                          f"setting")
     f = p ** d
     N = f.degree
     if not F.char_exceeds(N):
@@ -135,7 +151,7 @@ def unipotent_block_form(field: Field, k: int, symmetry: str) -> Matrix:
     p = Poly.parse(field, "x - 1")
     eye = Matrix.identity(field, k)
     P = krylov_basis(Matrix.companion(p ** k) - eye, eye.col(0), k)
-    return P.transpose() * self_dual_block_form(p, k, symmetry) * P
+    return P.transpose() * _self_dual_gram(p, k, symmetry, INVARIANT) * P
 
 
 # --- symmetry converter --------------------------------------------------------
@@ -225,7 +241,7 @@ def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
         label = f"({p.to_str()})^{k}" if k > 1 else f"({p.to_str()})"
         partner = rule.partner(p, k, symmetry)
         if partner is None:
-            gram = self_dual_block_form(p, k, symmetry, setting)
+            gram = _self_dual_gram(p, k, symmetry, setting)
             route = ("trace-form" if rule.special_factor(p) is None
                      else "unipotent-block" if setting == INVARIANT
                      else "nilpotent-block")
@@ -247,7 +263,8 @@ def assemble_witness(structure, symmetry: str, rule) -> FormCertificate:
     C = reduce(Matrix.hstack, [cols for cols, _ in blocks],
                Matrix.zeros(F, M.nrows, 0))
     # a positive decision leaves no copy without its partner
-    assert C.ncols == M.nrows, "a divisor copy was left unpaired"
+    if C.ncols != M.nrows:
+        raise AssertionError("a divisor copy was left unpaired")
     B_union = Matrix.block_diagonal(F, [gram for _, gram in blocks])
     Cinv = C.inverse()
     B = _share_transpose(Cinv.transpose() * B_union * Cinv, symmetry)

@@ -2,9 +2,10 @@
 decomposition into indecomposables and standard pairs, Witt index over
 prime fields, and the level bounds.
 
-The orthogonal decomposition peels the current space greedily at the top
-nilpotency level k of N = T - I (after flipping the sign when the
-minimal polynomial is a power of x + 1):
+The orthogonal decomposition peels the current space greedily at its
+level k, by Krull-Schmidt the largest part of the Jordan type of T not
+yet peeled, with N = T - I, or -(T + I) when chi is a power of x + 1,
+both read off `ModuleStructure(T)`:
 
   * when the parity of k matches the symmetry, some vector v has
     B(v, N^(k-1) v) != 0; its N-chain spans a non-degenerate
@@ -19,10 +20,10 @@ minimal polynomial is a power of x + 1):
 
 The peel runs on V with N and B fixed; only an n x d column basis C of
 the current subspace shrinks, from the identity.  v (a column c_i, else
-a sum c_i + c_j) is read off the top Gram C^t B N^(k-1) C, k the least
-level with N^k C = 0, and the complement of a summand X is C times the
-kernel of X^t B C.  C is injective, so B(C x, N^j C y) is what the form
-and map restricted to the subspace give at (x, y).
+a sum c_i + c_j) is read off the top Gram C^t B N^(k-1) C, each N^j
+formed once, and the complement of a summand X is C times the kernel of
+X^t B C.  C is injective, so B(C x, N^j C y) is what the form and map
+restricted to the subspace give at (x, y).
 
 The Witt index over F_p (p odd) is read off the classification of
 quadratic forms over finite fields (Serre, *A Course in Arithmetic*,
@@ -33,15 +34,17 @@ it is m when (-1)^m det B is a square mod p (the form is hyperbolic) and
 m - 1 otherwise.  Skew forms are hyperbolic, of index n / 2.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .canonical import krylov_basis, natural_parity_ok
+from .canonical import ModuleStructure, krylov_basis, natural_parity_ok
 from .certificates import (INVARIANT, SKEW, SYMMETRIC, FormCertificate,
                            symmetry_of, verified_symmetry)
 from .errors import (Degenerate, NotSquare, NotUnipotent, NotUnipotentType,
                      RationalsUnsupported, SmallCharacteristic)
 from .fields import PrimeField
 from .linalg import Matrix
+from .poly import Poly
 
 ODD_INDECOMPOSABLE = "OddIndecomposable"
 EVEN_INDECOMPOSABLE = "EvenIndecomposable"
@@ -94,35 +97,29 @@ class OrthogonalSummandReport:
                 "summands": [s.to_json() for s in self.summands]}
 
 
-def _unipotent_type(T: Matrix):
-    """(N, k, N^(k-1)) with N = T - I or -T - I nilpotent of level k: the
-    minimal polynomial of T is (x - 1)^k or (x + 1)^k.
-    NotUnipotentType if it is neither.  The sign is settled first: when
-    -T - I is nilpotent, T - I = -2I + nilpotent is invertible in odd
-    characteristic, so only T - I can be nilpotent when it is singular."""
-    ident = Matrix.identity(T.field, T.nrows)
-    N = T - ident
-    if not T.field.is_zero(N.det()):
-        N = -T - ident
-    try:
-        return (N,) + _level(N, ident)
-    except NotUnipotent:
-        raise NotUnipotentType(
-            "minimal polynomial is not a power of (x - 1) or (x + 1)"
-        ) from None
+def _jordan_type(T: Matrix, signs=(1, -1), error=NotUnipotentType):
+    """(N, Jordan type of T, largest part first) for chi = (x - r)^n, r
+    the first of `signs` that fits, N = T - I (r = 1) or -(T + I) (r = -1);
+    `error` if none fits, tested on chi before anything is factored."""
+    structure = ModuleStructure(T)
+    F, n = T.field, T.nrows
+    for r in signs:
+        p = Poly.x_minus(F, r)
+        if structure.char_poly == p ** n:
+            break
+    else:
+        raise error(f"characteristic poly is not (x - r)^n for r in {signs}")
+    N = structure.primary(p, n)[0]
+    parts = sorted((d.k for d in structure.elementary_divisors
+                    for _ in range(d.multiplicity)), reverse=True)
+    return (N if r == 1 else -N), parts
 
 
-def _level(N: Matrix, C: Matrix):
-    """(k, N^(k-1) C) for the least k with N^k C = 0 (None for N^-1 C
-    when C has no columns); NotUnipotent if N is not nilpotent on the
-    column span of C."""
-    k, prev, P = 0, None, C
-    while not P.is_zero():
-        prev, P = P, N * P
-        k += 1
-        if k > N.nrows:
-            raise NotUnipotent("matrix is not unipotent")
-    return k, prev
+def _kind(k: int, symmetry: str) -> str:
+    """The summand kind that takes a part k of the Jordan type."""
+    if not natural_parity_ok(k, symmetry):
+        return STANDARD_PAIR
+    return ODD_INDECOMPOSABLE if symmetry == SYMMETRIC else EVEN_INDECOMPOSABLE
 
 
 def _bil(field, B, u, v):
@@ -145,14 +142,16 @@ def _isotropize(field, B, N, k, u, partner):
         z = zs.col(k - 1 - j)
         lin = field.add(_bil(field, B, u, top), _bil(field, B, z, nju))
         quad = _bil(field, B, z, top)
-        assert field.is_zero(quad), "partner chain correction not linear"
-        assert not field.is_zero(lin), "pairing lost during sweep"
+        if not field.is_zero(quad):
+            raise AssertionError("partner chain correction not linear")
+        if field.is_zero(lin):
+            raise AssertionError("pairing lost during sweep")
         c = field.neg(field.div(psi, lin))
         u = tuple(field.add(a, field.mul(c, b)) for a, b in zip(u, z))
     chain = krylov_basis(N, u, k)
-    for j in range(k):
-        assert field.is_zero(_bil(field, B, u, chain.col(j))), \
-            "chain failed to isotropize"
+    if any(not field.is_zero(_bil(field, B, u, chain.col(j)))
+           for j in range(k)):
+        raise AssertionError("chain failed to isotropize")
     return u
 
 
@@ -178,12 +177,18 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
     if F.characteristic == 2:
         raise SmallCharacteristic("characteristic 2 is out of scope")
     B, symmetry = _verified_form(T, form)
-    N, k, top = _unipotent_type(T)
-    C = Matrix.identity(F, T.nrows)  # column basis of the current subspace
+    N, parts = _jordan_type(T)
+    powers = [Matrix.identity(F, T.nrows)]    # N^j below the first level
+    for _ in range(max(parts, default=1) - 1):
+        powers.append(N * powers[-1])
+    C = powers[0]                    # column basis of the current subspace
+    rest = list(parts)               # the Jordan type of that subspace
     summands = []
     while C.ncols:
-        d = C.ncols
-        if natural_parity_ok(k, symmetry):
+        d, k = C.ncols, rest[0]
+        top = powers[k - 1] * C
+        kind = _kind(k, symmetry)
+        if kind != STANDARD_PAIR:
             G = C.transpose() * B * top     # B(c_i, N^(k-1) c_j)
             v = next((C.col(i) for i in range(d)
                       if not F.is_zero(G.rows[i][i])), None)
@@ -193,10 +198,9 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
                           if not F.is_zero(F.add(
                               F.add(G.rows[i][i], G.rows[j][j]),
                               F.add(G.rows[i][j], G.rows[j][i])))), None)
-            assert v is not None, "no anisotropic top chain found"
+            if v is None:
+                raise AssertionError("no anisotropic top chain found")
             X = krylov_basis(N, v, k)
-            kind = ODD_INDECOMPOSABLE if symmetry == SYMMETRIC \
-                else EVEN_INDECOMPOSABLE
         else:
             i = next(i for i in range(d)
                      if any(not F.is_zero(c) for c in top.col(i)))
@@ -208,37 +212,38 @@ def orthogonal_decomposition(T: Matrix, form) -> OrthogonalSummandReport:
             u = _isotropize(F, B, N, k, u, w)
             w = _isotropize(F, B, N, k, w, u)
             X = krylov_basis(N, u, k).hstack(krylov_basis(N, w, k))
-            kind = STANDARD_PAIR
         summands.append(OrthogonalSummand(X.transpose(), kind, k))
-        XtB = X.transpose() * B
-        assert not F.is_zero((XtB * X).det()), \
-            "summand restriction degenerate"
+        del rest[:2 if kind == STANDARD_PAIR else 1]
         # B-orthogonal complement inside the current subspace
-        Z = (XtB * C).kernel_basis()
+        Z = (X.transpose() * B * C).kernel_basis()
         if not Z:
             break
         C = C * Matrix.from_cols(F, Z)
-        k, top = _level(N, C)
     report = OrthogonalSummandReport(summands, symmetry)
-    _validate_orthogonal_report(T, B, report)
+    _validate_orthogonal_report(T, B, report, parts)
     return report
 
 
-def _validate_orthogonal_report(T, B, report):
+def _validate_orthogonal_report(T, B, report, parts):
+    """AssertionError unless the report splits V as `parts` dictates."""
     F = T.field
-    total = 0
+    taken = Counter()
     for i, s in enumerate(report.summands):
         basis = s.basis
-        total += basis.ncols
-        gram = s.vectors * B * basis
-        assert not F.is_zero(gram.det())
-        basis.solve_right(T * basis)    # invariance
-        if s.kind == STANDARD_PAIR:
-            for half in s.halves:
-                assert (half.transpose() * B * half).is_zero()
-        for other in report.summands[i + 1:]:
-            assert (s.vectors * B * other.basis).is_zero()
-    assert total == T.nrows
+        taken[s.kind, s.block_size] += 2 if s.kind == STANDARD_PAIR else 1
+        if F.is_zero((s.vectors * B * basis).det()):
+            raise AssertionError(f"summand {i} restriction degenerate")
+        if basis.hstack(T * basis).rank() != basis.ncols:
+            raise AssertionError(f"summand {i} not T-invariant")
+        if any(not (h.transpose() * B * h).is_zero() for h in s.halves or ()):
+            raise AssertionError(f"standard pair {i} has a non-isotropic half")
+        for j, other in enumerate(report.summands[i + 1:], i + 1):
+            if not (s.vectors * B * other.basis).is_zero():
+                raise AssertionError(f"summands {i} and {j} not orthogonal")
+    if sum(s.vectors.nrows for s in report.summands) != T.nrows:
+        raise AssertionError("summands do not fill the space")
+    if taken != Counter((_kind(k, report.symmetry), k) for k in parts):
+        raise AssertionError("summand kinds do not match the Jordan type")
 
 
 # --- Witt index -----------------------------------------------------------------
@@ -298,8 +303,7 @@ def level_analysis(T: Matrix, form) -> LevelReport:
             "level analysis needs the Witt index, available over F_p only")
     B, symmetry = _verified_form(T, form)
     n = T.nrows
-    ident = Matrix.identity(F, n)
-    k, _ = _level(T - ident, ident)
+    k = max(_jordan_type(T, (1,), NotUnipotent)[1], default=0)
     l = witt_index(B)
     if symmetry == SYMMETRIC:
         if k <= l:

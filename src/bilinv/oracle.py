@@ -81,10 +81,10 @@ def solve_form_space(M: Matrix, symmetry: str,
     basis = []
     for vec in kernel:
         B = _combine(F, coords, vec)
-        if setting == INVARIANT:
-            assert Mt * B * M == B
-        else:
-            assert (Mt * B + B * M).is_zero()
+        invariant = (Mt * B * M == B if setting == INVARIANT
+                     else (Mt * B + B * M).is_zero())
+        if not invariant:
+            raise AssertionError("solved form is not invariant")
         basis.append(B)
     return InvariantFormSpace(basis, symmetry, setting)
 

@@ -368,7 +368,8 @@ def factor(f: Poly,
         pairs = _factor_q(f.monic(), rng, degree_limit)
     pairs.sort(key=lambda t: t[0].sort_key())
     fac = Factorization(f.lc, tuple(pairs), f.field)
-    assert fac.product() == f, "factorization failed to reconstruct input"
+    if fac.product() != f:
+        raise AssertionError("factorization failed to reconstruct input")
     return fac
 
 
@@ -571,7 +572,8 @@ def _hensel_lift(zc, modular, p, a):
         for g in lifted:
             prod = _axpy((), prod, g, None, 0)
         err = [x - y for x, y in zip(zc, prod)]
-        assert all(c % q == 0 for c in err)
+        if any(c % q for c in err):
+            raise AssertionError("Hensel lift error not divisible by q")
         e = Poly(Fp, [c // q for c in err])
         for i, g in enumerate(lifted):
             gi = Poly(Fp, g)

@@ -94,6 +94,22 @@ def test_level_and_decompose_over_fp(tmp_path, capsys):
     assert out["summands"][0]["kind"] == "EvenIndecomposable"
 
 
+def test_level_of_non_unipotent_is_input_error(tmp_path, capsys):
+    # -J_3 is of unipotent type, so it decomposes, but it has no level
+    minus_j3 = [["-1", "-1", "0"], ["0", "-1", "-1"], ["0", "0", "-1"]]
+    path = write_instance(tmp_path, "m3.json", {"Fp": 101}, minus_j3)
+    code, out = run_json(capsys, ["construct", path, "--symmetry",
+                                  "symmetric"])
+    assert code == 0
+    path = write_instance(tmp_path, "m3g.json", {"Fp": 101}, minus_j3,
+                          gram=out["witness"]["gram"])
+    code, out = run_json(capsys, ["level", path])
+    assert code == 2 and out["error"]["kind"] == "NotUnipotent"
+    code, out = run_json(capsys, ["decompose", path])
+    assert code == 0 and [s["kind"] for s in out["summands"]] == \
+        ["OddIndecomposable"]
+
+
 def test_real_subcommand(tmp_path, capsys):
     path = write_instance(tmp_path, "r.json", "Q", J2)
     code, out = run_json(capsys, ["real", path])

@@ -118,6 +118,16 @@ def test_self_dual_block_form_cases():
         self_dual_block_form(Poly.parse(QQ, "x-1"), 2, SYMMETRIC)
 
 
+@pytest.mark.parametrize("text, error, match", [
+    ("x", NotSelfDual, "not self-dual"),      # no dual: zero constant term
+    ("2*x - 2", ValueError, "needs a monic p"),
+    ("x^2 - 1", ValueError, "needs an irreducible p"),
+])
+def test_self_dual_block_form_checks_its_input(text, error, match):
+    with pytest.raises(error, match=match):
+        self_dual_block_form(Poly.parse(QQ, text), 1, SYMMETRIC)
+
+
 def test_hyperbolic_pairing_examples():
     T = Matrix.diagonal(QQ, [2, Fraction(1, 2)])
     a, b = indecomposable_decomposition(T)

@@ -1,18 +1,26 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bilinv
+import bilinv.canonical
 from bilinv.certificates import SKEW, SYMMETRIC
 from bilinv.construction import construct_invariant_form
 from bilinv.corpus import skew_admissible, symmetric_admissible
-from bilinv.errors import (Degenerate, NotSquare, NotUnipotentType,
-                           RationalsUnsupported, SmallCharacteristic,
-                           UnverifiedForm)
+from bilinv.errors import (Degenerate, NotSquare, NotUnipotent,
+                           NotUnipotentType, RationalsUnsupported,
+                           SmallCharacteristic, UnverifiedForm)
 from bilinv.fields import PrimeField, QQ
 from bilinv.isometry import (EVEN_INDECOMPOSABLE, GENERAL_ODD,
-                             ODD_INDECOMPOSABLE, STANDARD_PAIR, level_analysis,
-                             orthogonal_decomposition, witt_index)
+                             ODD_INDECOMPOSABLE, STANDARD_PAIR,
+                             OrthogonalSummand, _validate_orthogonal_report,
+                             level_analysis, orthogonal_decomposition,
+                             witt_index)
 from bilinv.linalg import Matrix
 from linalg_reference import jordan_matrix, unipotent_jordan_types
 
@@ -75,6 +83,90 @@ def test_orthogonal_decomposition_rejects():
     with pytest.raises(SmallCharacteristic):
         orthogonal_decomposition(Matrix.identity(F2, 2),
                                  Matrix(F2, [[0, 1], [1, 0]]))
+
+
+def test_unipotent_test_routes(monkeypatch):
+    minus_j3 = -Matrix.jordan_block(F101, 1, 3)
+    pair = Matrix.diagonal(F101, [2, 51])
+    forms = {T: construct_invariant_form(T, SYMMETRIC)
+             for T in (minus_j3, pair)}
+    # the level needs a unipotent map, not one of unipotent type
+    for T, form in forms.items():
+        with pytest.raises(NotUnipotent):
+            level_analysis(T, form)
+    rep = orthogonal_decomposition(minus_j3, forms[minus_j3])
+    assert [(s.kind, s.block_size) for s in rep.summands] == \
+        [(ODD_INDECOMPOSABLE, 3)]
+    # a map not of unipotent type is refused on chi, before any factoring
+    calls = []
+    monkeypatch.setattr(bilinv.canonical, "factor",
+                        lambda *a: calls.append(a))
+    with pytest.raises(NotUnipotentType):
+        orthogonal_decomposition(pair, forms[pair])
+    assert calls == []
+
+
+def _report_of_j3_plus_j1():
+    """(T, B, report, Jordan type) for J_3 + J_1 over F_101 with its
+    constructed symmetric form: two summands, of sizes 3 and 1."""
+    T = Matrix.block_diagonal(F101, [Matrix.jordan_block(F101, 1, 3),
+                                     Matrix.identity(F101, 1)])
+    B = construct_invariant_form(T, SYMMETRIC).gram
+    report = orthogonal_decomposition(T, B)
+    assert [(s.kind, s.block_size) for s in report.summands] == \
+        [(ODD_INDECOMPOSABLE, 3), (ODD_INDECOMPOSABLE, 1)]
+    return T, B, report, [3, 1]
+
+
+def test_validate_orthogonal_report_rejects_broken_reports():
+    T, B, report, parts = _report_of_j3_plus_j1()
+    _validate_orthogonal_report(T, B, report, parts)
+    chain, line = (s.vectors for s in report.summands)
+    # the chain x0, x1, x2 with x2 moved off by the other summand's vector:
+    # still non-degenerate, no longer invariant
+    x0, x1, x2 = chain.rows
+    moved = Matrix(F101, [x0, x1, [a + b for a, b in zip(x2, line.rows[0])]])
+    assert not F101.is_zero((moved * B * moved.transpose()).det())
+    report.summands[0] = OrthogonalSummand(moved, ODD_INDECOMPOSABLE, 3)
+    with pytest.raises(AssertionError, match="not T-invariant"):
+        _validate_orthogonal_report(T, B, report, parts)
+    # two 1-dimensional summands of I_2 that are not B-orthogonal
+    with pytest.raises(AssertionError, match="not orthogonal"):
+        exec(NON_ORTHOGONAL, {})
+
+
+NON_ORTHOGONAL = """
+from bilinv.fields import PrimeField
+from bilinv.isometry import (ODD_INDECOMPOSABLE, OrthogonalSummand,
+                             _validate_orthogonal_report,
+                             orthogonal_decomposition)
+from bilinv.linalg import Matrix
+I2 = Matrix.identity(PrimeField(101), 2)
+report = orthogonal_decomposition(I2, I2)
+report.summands[1] = OrthogonalSummand(Matrix(I2.field, [[1, 1]]),
+                                       ODD_INDECOMPOSABLE, 1)
+_validate_orthogonal_report(I2, I2, report, [1, 1])
+"""
+
+
+def test_validate_orthogonal_report_survives_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(bilinv.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", NON_ORTHOGONAL],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode != 0
+    assert "AssertionError: summands 0 and 1 not orthogonal" in done.stderr
+
+
+def test_validate_orthogonal_report_checks_kinds_against_jordan_type():
+    T, B, report, parts = _report_of_j3_plus_j1()
+    # the same geometry under the wrong Jordan type, or the wrong kind
+    with pytest.raises(AssertionError, match="Jordan type"):
+        _validate_orthogonal_report(T, B, report, [2, 2])
+    s = report.summands[1]
+    report.summands[1] = OrthogonalSummand(s.vectors, EVEN_INDECOMPOSABLE, 1)
+    with pytest.raises(AssertionError, match="Jordan type"):
+        _validate_orthogonal_report(T, B, report, parts)
 
 
 def test_orthogonal_decomposition_conjugated_all_types():

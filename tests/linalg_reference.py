@@ -11,7 +11,11 @@ runs:
 - `brute_force_reality`, an exhaustive search of GL(n, p) for a g with
   g T g^-1 = T^-1, the ground truth for `decide_real` on tiny groups;
 - the unipotent Jordan types of small dimension (`partitions`,
-  `unipotent_jordan_types`) and their block-diagonal Jordan matrices.
+  `unipotent_jordan_types`) and their block-diagonal Jordan matrices;
+- `verify_gram_reference`, the certificate checks on the field's scalar
+  methods: schoolbook products and a Gauss elimination with field
+  inverses, against which the integer-row verifier of
+  `bilinv.certificates` is checked.
 """
 
 from itertools import product
@@ -180,3 +184,52 @@ def unipotent_jordan_types(max_dim: int):
 def jordan_matrix(field, parts, eigenvalue=1) -> Matrix:
     return Matrix.block_diagonal(
         field, [Matrix.jordan_block(field, eigenvalue, k) for k in parts])
+
+
+def _schoolbook_mul(field, A, B):
+    n, m, k = len(A), len(B[0]) if B else 0, len(B)
+    out = [[field.zero] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            acc = field.zero
+            for t in range(k):
+                acc = field.add(acc, field.mul(A[i][t], B[t][j]))
+            out[i][j] = acc
+    return out
+
+
+def verify_gram_reference(M: Matrix, B: Matrix, symmetry: str,
+                          setting: str) -> dict:
+    """The three checks of `bilinv.certificates.verify_gram` on square
+    M and B of one field, recomputed on the field's scalar methods."""
+    F = M.field
+    a = [list(r) for r in M.rows]
+    b = [list(r) for r in B.rows]
+    at = [list(col) for col in zip(*a)]
+    n = len(a)
+    if setting == "invariant":
+        lhs = _schoolbook_mul(F, _schoolbook_mul(F, at, b), a)
+        invariance = all(lhs[i][j] == b[i][j]
+                         for i in range(n) for j in range(n))
+    else:
+        lhs = _schoolbook_mul(F, at, b)
+        rhs = _schoolbook_mul(F, b, a)
+        invariance = all(F.is_zero(F.add(lhs[i][j], rhs[i][j]))
+                         for i in range(n) for j in range(n))
+    sign = F.one if symmetry == "symmetric" else F.neg(F.one)
+    symmetry_ok = all(b[i][j] == F.mul(sign, b[j][i])
+                      for i in range(n) for j in range(n))
+    nondegenerate = True
+    for c in range(n):
+        piv = next((i for i in range(c, n) if not F.is_zero(b[i][c])), None)
+        if piv is None:
+            nondegenerate = False
+            break
+        b[c], b[piv] = b[piv], b[c]
+        inv = F.inv(b[c][c])
+        for i in range(c + 1, n):
+            if not F.is_zero(b[i][c]):
+                f = F.mul(b[i][c], inv)
+                b[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(b[i], b[c])]
+    return {"invariance": invariance, "symmetry_ok": symmetry_ok,
+            "nondegenerate": nondegenerate}

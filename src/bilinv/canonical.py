@@ -8,8 +8,8 @@ chi, the kernels of the powers of p(T) on V grow until they fill
 W = ker p(T)^e, of dimension deg p * e: their dimensions give the
 multiplicities of the divisors p^k, and their bases give the generators
 of the cyclic summands.  `invariant_factors` and `min_poly` are read off the
-divisors.  The Smith normal form of xI - T over F[x] (on `poly`'s F[x]
-kernel) is kept as an independent reference for the invariant factors.
+divisors.  The Smith normal form of xI - T over F[x], on `Poly`
+arithmetic, is kept as an independent reference for the invariant factors.
 
 Every summand, whatever its divisor p^k, has one kind of basis: the
 powers v, Tv, ..., T^(N-1) v of its generator v, N = deg p^k.  On it T
@@ -24,8 +24,8 @@ from typing import Callable
 from .certificates import INFINITESIMAL, INVARIANT, SYMMETRIC
 from .errors import NotSquare
 from .linalg import Matrix, _kernel, _rref, char_poly, eval_poly_at_matrix
-from .poly import (DEFAULT_DEGREE_LIMIT, Poly, _axpy, _divmod, _scale,
-                   additive_dual_poly, dual_poly, factor)
+from .poly import (DEFAULT_DEGREE_LIMIT, Poly, additive_dual_poly, dual_poly,
+                   factor)
 
 
 # --- Smith normal form over F[x] -------------------------------------------
@@ -35,88 +35,50 @@ def smith_normal_form(A):
     the list of monic (or zero) entries d_1 | d_2 | ... .  Transforms
     are not kept."""
     n = len(A)
-    if n == 0:
-        return []
-    field = A[0][0].field
-    p = field.p
-    zero, one = field.zero, field.one
-    minus_one = field.neg(one)
-    M = [[list(e.coeffs) for e in row] for row in A]
-
-    def row_axpy(dst, src, q):
-        # row_dst -= q * row_src
-        mq = _scale(q, minus_one, p)
-        Md, Ms = M[dst], M[src]
-        for j in range(n):
-            if Ms[j]:
-                Md[j] = _axpy(Md[j], mq, Ms[j], p, zero)
-
+    M = [list(row) for row in A]
     for t in range(n):
         older = last = None       # pivot lengths of the last two passes
         while True:
             # lowest-degree nonzero pivot in the trailing block
-            best = None
-            for i in range(t, n):
-                row = M[i]
-                for j in range(t, n):
-                    e = row[j]
-                    if e and (best is None or len(e) < best[0]):
-                        best = (len(e), i, j)
-            if best is None:
+            nonzero = [(len(M[i][j].coeffs), i, j) for i in range(t, n)
+                       for j in range(t, n) if not M[i][j].is_zero()]
+            if not nonzero:
                 break
+            length, bi, bj = min(nonzero)
             # a pass that is not clean leaves a remainder shorter than its
             # pivot, and a culprit fix-up is followed by such a pass, so the
             # pivot shrinks at least once every two passes
-            if older is not None and best[0] >= older:
+            if older is not None and length >= older:
                 raise AssertionError(
                     "Smith pivot loop made no progress in two passes")
-            older, last = last, best[0]
-            _, bi, bj = best
-            if bi != t:
-                M[t], M[bi] = M[bi], M[t]
-            if bj != t:
-                for row in M:
-                    row[t], row[bj] = row[bj], row[t]
-            clean = True
+            older, last = last, length
+            M[t], M[bi] = M[bi], M[t]
+            for row in M:
+                row[t], row[bj] = row[bj], row[t]
+            pivot = M[t][t]
             for r in range(t + 1, n):
-                if M[r][t]:
-                    q = _divmod(M[r][t], M[t][t], p, zero)[0]
-                    row_axpy(r, t, q)
-                    if M[r][t]:
-                        clean = False
+                q = M[r][t] // pivot
+                M[r] = [a - q * b for a, b in zip(M[r], M[t])]
             for c in range(t + 1, n):
-                if M[t][c]:
-                    mq = _scale(_divmod(M[t][c], M[t][t], p, zero)[0],
-                                minus_one, p)
-                    for row in M:
-                        if row[t]:
-                            row[c] = _axpy(row[c], mq, row[t], p, zero)
-                    if M[t][c]:
-                        clean = False
+                q = M[t][c] // pivot
+                for row in M:
+                    row[c] -= q * row[t]
+            clean = all(M[r][t].is_zero() and M[t][r].is_zero()
+                        for r in range(t + 1, n))
             if not clean:
                 continue
             # enforce divisibility into the trailing block (a constant
             # pivot divides everything)
             culprit = None
-            pivot = M[t][t]
-            if len(pivot) > 1:
-                for r in range(t + 1, n):
-                    for c in range(t + 1, n):
-                        if M[r][c] and _divmod(M[r][c], pivot, p, zero)[1]:
-                            culprit = r
-                            break
-                    if culprit is not None:
-                        break
+            if pivot.degree > 0:
+                culprit = next((r for r in range(t + 1, n)
+                                for c in range(t + 1, n)
+                                if not (M[r][c] % pivot).is_zero()), None)
             if culprit is None:
                 break
-            row_axpy(t, culprit, [minus_one])    # row_t += row_culprit
-    diag = []
-    for i in range(n):
-        d = M[i][i]
-        if d and d[-1] != one:
-            d = _scale(d, field.inv(d[-1]), p)
-        diag.append(Poly(field, tuple(d), normalize=False))
-    return diag
+            # row_t += row_culprit
+            M[t] = [a + b for a, b in zip(M[t], M[culprit])]
+    return [M[i][i].monic() for i in range(n)]
 
 
 def _char_matrix(T: Matrix):

@@ -7,10 +7,10 @@ Instance file schema:
      "gram":   optional, same shape}
 
 decide, construct, infinitesimal and real take --degree-limit (the
-degree cap of factorization over Q, at least 1).  verify factors
-nothing, and decompose and level factor only (x -+ 1)^n, whose
-squarefree part is linear, so none of the three takes it.  Only oracle
-and selftest take --seed: it seeds the oracle's random search and the
+degree cap of factorization over Q, at least 1).  verify, decompose
+and level factor nothing (decompose and level read the Jordan type off
+a kernel chain), so none of the three takes it.  Only oracle and
+selftest take --seed: it seeds the oracle's random search and the
 selftest corpus.
 
 Exit codes: 0 computed (even when the answer is "no form exists"),

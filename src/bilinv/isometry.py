@@ -100,7 +100,7 @@ class OrthogonalSummandReport:
 def _jordan_type(T: Matrix, signs=(1, -1), error=NotUnipotentType):
     """(N, Jordan type of T, largest part first) for chi = (x - r)^n, r
     the first of `signs` that fits, N = T - I (r = 1) or -(T + I) (r = -1);
-    `error` if none fits, tested on chi before anything is factored."""
+    `error` if none fits.  The type comes off N's kernel chain."""
     structure = ModuleStructure(T)
     F, n = T.field, T.nrows
     for r in signs:
@@ -110,8 +110,8 @@ def _jordan_type(T: Matrix, signs=(1, -1), error=NotUnipotentType):
     else:
         raise error(f"characteristic poly is not (x - r)^n for r in {signs}")
     N = structure.primary(p, n)[0]
-    parts = sorted((d.k for d in structure.elementary_divisors
-                    for _ in range(d.multiplicity)), reverse=True)
+    parts = sorted((k for k, m in structure._counts(p, n).items()
+                    for _ in range(m)), reverse=True)
     return (N if r == 1 else -N), parts
 
 
@@ -254,6 +254,8 @@ def witt_index(B: Matrix) -> int:
     Read off the dimension and the discriminant; see the module
     docstring.
     """
+    if not B.is_square:
+        raise NotSquare("Witt index of a non-square Gram matrix")
     F = B.field
     if not isinstance(F, PrimeField):
         raise RationalsUnsupported(

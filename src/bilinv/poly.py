@@ -9,7 +9,7 @@ coefficient sequences (`_scale`, `_axpy`, `_divmod`): over F_p on ints
 with one reduction mod p per output coefficient, over Q on Fractions
 with plain operators.  `Poly` addition, subtraction, multiplication,
 division and scaling wrap it, the Z[x] products of Hensel lifting use
-it on ints, and the Smith form in `canonical` runs on it directly.
+it on ints, and `linalg.char_poly` runs on it directly.
 
 The two duality operators act on monic polynomials:
 

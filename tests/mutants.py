@@ -26,7 +26,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KILLED, EQUIVALENT = "killed", "equivalent"
 VERIFIER = "src/bilinv/certificates.py"
+CANONICAL = "src/bilinv/canonical.py"
+ISOMETRY = "src/bilinv/isometry.py"
 GUARDS = ("tests/test_guards.py",)
+CANONICAL_TESTS = ("tests/test_canonical.py",)
+ISOMETRY_TESTS = ("tests/test_isometry.py",)
 
 # (name, file, function, text, replacement, test files, expectation)
 MUTANTS = [
@@ -54,6 +58,17 @@ MUTANTS = [
      "_nonsingular_mod", "return False", "continue", GUARDS, KILLED),
     ("the Bareiss elimination goes on past a missing pivot", VERIFIER,
      "_nonsingular_bareiss", "return False", "continue", GUARDS, KILLED),
+    ("the Smith form skips the culprit fix-up", CANONICAL,
+     "smith_normal_form", "if culprit is None:", "if True:",
+     CANONICAL_TESTS, KILLED),
+    ("the Smith diagonal is not made monic", CANONICAL, "smith_normal_form",
+     "M[i][i].monic()", "M[i][i]", CANONICAL_TESTS, KILLED),
+    ("the Jordan type comes smallest part first", ISOMETRY, "_jordan_type",
+     ", reverse=True)", ")", ISOMETRY_TESTS, KILLED),
+    ("the discriminant drops (-1)^m", ISOMETRY, "witt_index",
+     "disc = (-1) ** m * det % p", "disc = det % p", ISOMETRY_TESTS, KILLED),
+    ("the isotropic sweep skips level 0", ISOMETRY, "_isotropize",
+     "range(k - 2, -1, -2)", "range(k - 2, 0, -2)", ISOMETRY_TESTS, KILLED),
 ]
 
 

@@ -166,11 +166,21 @@ def test_converter_example():
     back = convert_symmetry(T, cert.gram)
     W = T - T.inverse()
     assert back == (W * W).transpose() * Matrix.identity(QQ, 2)
+    # infinitesimally the converter is B'(u, v) = B(S u, v)
+    S = Matrix.diagonal(QQ, [1, -1])
+    cert = skew_symmetric_converter(S, Matrix(QQ, [[0, 1], [1, 0]]),
+                                    INFINITESIMAL)
+    assert cert.symmetry == SKEW and all(cert.checks.values())
+    assert cert.gram == Matrix(QQ, [[0, 1], [-1, 0]])
+    assert cert.provenance == ["converter:symmetric->skew"]
 
 
 def test_converter_eigenvalue_obstruction():
     with pytest.raises(EigenvalueObstruction):
         convert_symmetry(Matrix.jordan_block(QQ, 1, 2), Matrix.identity(QQ, 2))
+    with pytest.raises(EigenvalueObstruction):
+        skew_symmetric_converter(Matrix.zeros(QQ, 2, 2),
+                                 Matrix.identity(QQ, 2), INFINITESIMAL)
 
 
 def test_construct_examples():

@@ -148,6 +148,7 @@ def test_reality_examples():
     assert decide_real(C).is_real
     rep = decide_real(Matrix.diagonal(QQ, [2, 2]))
     assert not rep.is_real and rep.mismatches
+    assert rep.splitting is None
     rep = decide_real(Matrix(QQ, [[1, 1], [0, 1]]))
     assert rep.is_real
     b1, b2 = rep.splitting

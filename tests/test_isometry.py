@@ -86,21 +86,26 @@ def test_orthogonal_decomposition_rejects():
 
 
 def test_unipotent_test_routes(monkeypatch):
-    minus_j3 = -Matrix.jordan_block(F101, 1, 3)
+    j3 = Matrix.jordan_block(F101, 1, 3)
     pair = Matrix.diagonal(F101, [2, 51])
     forms = {T: construct_invariant_form(T, SYMMETRIC)
-             for T in (minus_j3, pair)}
-    # the level needs a unipotent map, not one of unipotent type
-    for T, form in forms.items():
-        with pytest.raises(NotUnipotent):
-            level_analysis(T, form)
-    rep = orthogonal_decomposition(minus_j3, forms[minus_j3])
-    assert [(s.kind, s.block_size) for s in rep.summands] == \
-        [(ODD_INDECOMPOSABLE, 3)]
-    # a map not of unipotent type is refused on chi, before any factoring
+             for T in (j3, -j3, pair)}
+    # chi is matched to (x -+ 1)^n and the Jordan type is read off the
+    # kernel chain of N, so no analysis factors anything; a map not of
+    # unipotent type is refused on chi
     calls = []
+    factor = bilinv.canonical.factor
     monkeypatch.setattr(bilinv.canonical, "factor",
-                        lambda *a: calls.append(a))
+                        lambda *a: calls.append(a) or factor(*a))
+    # the level needs a unipotent map, not one of unipotent type
+    for T in (-j3, pair):
+        with pytest.raises(NotUnipotent):
+            level_analysis(T, forms[T])
+    for T in (j3, -j3):
+        rep = orthogonal_decomposition(T, forms[T])
+        assert [(s.kind, s.block_size) for s in rep.summands] == \
+            [(ODD_INDECOMPOSABLE, 3)]
+    assert level_analysis(j3, forms[j3]).level == 3
     with pytest.raises(NotUnipotentType):
         orthogonal_decomposition(pair, forms[pair])
     assert calls == []
@@ -235,6 +240,9 @@ def test_witt_index_examples():
         witt_index(Matrix(F5, [[1, 1], [1, 1]]))
     with pytest.raises(Degenerate, match="neither symmetric nor skew"):
         witt_index(Matrix(F5, [[0, 1], [2, 0]]))
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0]]):
+        with pytest.raises(NotSquare):
+            witt_index(Matrix(F101, rows))
 
 
 def test_witt_index_congruence_invariant():

@@ -61,6 +61,11 @@ def test_factor_char2():
     assert [(p.to_str(), e) for p, e in fac] == [("x", 1), ("x + 1", 2)]
     # x^2 + x + 1 is the unique irreducible quadratic mod 2
     assert len(factor(Poly.parse(F2, "x^2 + x + 1"))) == 1
+    # (x^3 + x + 1)(x^3 + x^2 + 1), two distinct irreducible cubics: the
+    # equal-degree split takes the additive trace map of characteristic 2
+    fac = factor(Poly.parse(F2, "x^6 + x^5 + x^4 + x^3 + x^2 + x + 1"))
+    assert [(p.to_str(), e) for p, e in fac] == \
+        [("x^3 + x^2 + 1", 1), ("x^3 + x + 1", 1)]
     rng = random.Random(9)
     for _ in range(100):
         f = rand_poly(F2, rng.randrange(1, 9), rng)
